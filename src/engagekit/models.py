@@ -153,13 +153,17 @@ def sigmoid(z: float) -> float:
     would be exactly 0.0 or 1.0, and this function returns the adjacent
     representable double instead so probability contracts hold everywhere.
     """
-    z = _finite("z", z)
+    return _sigmoid(_finite("z", z))
+
+
+def _sigmoid(z: float) -> float:
+    """sigmoid without the finiteness check, for callers that have made it."""
     if z >= 0.0:
         out = 1.0 / (1.0 + math.exp(-z))
     else:
         ez = math.exp(z)
         out = ez / (1.0 + ez)
-    return min(max(out, _P_FLOOR), _P_CEIL)
+    return _P_FLOOR if out < _P_FLOOR else _P_CEIL if out > _P_CEIL else out
 
 
 def reward_frequency(p: RewardFrequencyParams, t: float) -> float:

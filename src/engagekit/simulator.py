@@ -23,12 +23,28 @@ Timeline step dynamics, in fixed order:
                           + engagement_boost * reward / v0, 0, 1)
   6. retention    = retention_probability(retention params, engagement, reward)
   7. interactions and time advance by one
+  8. if retention < intervention_threshold (never, when it is 0): the point is
+     flagged intervened, engagement gains engagement_boost (clamped to 1) and
+     the next reward is armed with intervention_reward_multiplier, exactly as
+     detect_at_risk and apply_intervention do.
 
 Draw discipline is part of the contract: a timeline step consumes exactly
 one uniform draw (the success outcome at stage 2); reward and engagement
 updates consume none. A session task consumes three draws, in the order
-engagement, reward, success. Traces are therefore bit-reproducible for a
+engagement, reward, success. Since no draw depends on the state, both
+simulators take all their draws up front in one call (``random(steps)``, or
+``random((num_tasks, 3))`` for a session), which yields the same doubles as
+one ``random()`` call at a time. Traces are therefore bit-reproducible for a
 given seed.
+
+Validation happens at entry, not per step. UserState and TimelineConfig
+validate at construction, so one timeline engine, :func:`_advance`, runs all
+steps over plain floats, inlines the model kernels with their operation
+order (and math.exp) unchanged, and builds one TimelinePoint per step and no
+intermediate UserState. Inside the loop it keeps only the checks on values
+that can leave the float range, raising the same messages as the kernels
+and UserState: an overflowing logit (``z must be finite, got inf``), reward
+(``r must be finite, got inf``) or cumulative reward.
 """
 
 from __future__ import annotations
@@ -45,10 +61,8 @@ from .models import (
     LogisticDifficultyParams,
     RetentionParams,
     RewardFrequencyParams,
-    case_difficulty,
-    diminishing_reward_value,
-    logistic_difficulty,
-    retention_probability,
+    _finite,
+    _sigmoid,
 )
 from .rng import make_rng
 
@@ -93,7 +107,7 @@ class UserState:
             raise ValueError(f"cumulative_reward must be >= 0, got {self.cumulative_reward}")
         for name in ("interactions", "time"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 0):
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if not (math.isfinite(self.pending_reward_multiplier) and self.pending_reward_multiplier >= 1.0):
             raise ValueError(
@@ -101,7 +115,7 @@ class UserState:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionStep:
     """One task of a simulated session; difficulty is always the session
     kernel applied to this step's drawn engagement and reward."""
@@ -113,7 +127,7 @@ class SessionStep:
     success: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelinePoint:
     """One emitted timeline sample: the user's state at the end of a step,
     plus whether an intervention fired right after it."""
@@ -152,7 +166,7 @@ class TimelineConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.steps, int) and self.steps >= 1):
+        if isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 1):
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if not (math.isfinite(self.skill_gain) and 0.0 <= self.skill_gain < 1.0):
             raise ValueError(f"skill_gain must be in [0, 1), got {self.skill_gain}")
@@ -179,62 +193,85 @@ def simulate_session(num_tasks: int, seed: int) -> list[SessionStep]:
     session kernel, success with probability 1 - difficulty. Deterministic
     given the seed.
     """
-    if not (isinstance(num_tasks, int) and num_tasks >= 1):
+    if isinstance(num_tasks, bool) or not (isinstance(num_tasks, int) and num_tasks >= 1):
         raise ValueError(f"num_tasks must be a positive integer, got {num_tasks!r}")
-    rng = make_rng(seed)
     steps = []
-    for task in range(num_tasks):
-        engagement = rng.random()
-        reward = rng.random() * 10.0
-        difficulty = case_difficulty(engagement, reward)
-        success = rng.random() < 1.0 - difficulty
-        steps.append(SessionStep(task + 1, engagement, reward, difficulty, bool(success)))
+    for task, (engagement, reward, u) in enumerate(make_rng(seed).random((num_tasks, 3)).tolist(), 1):
+        reward *= 10.0
+        difficulty = _sigmoid(engagement + reward - 1.0)  # case_difficulty; both terms are finite
+        steps.append(SessionStep(task, engagement, reward, difficulty, u < 1.0 - difficulty))
     return steps
+
+
+def _advance(
+    state: UserState, cfg: TimelineConfig, draws: list[float], threshold: float
+) -> tuple[list[TimelinePoint], UserState]:
+    """The timeline engine: one step per draw from state (dynamics order in
+    module doc), at-risk below threshold (0 never is). Returns the emitted
+    points and the successor state."""
+    # Plain floats, as the kernels' _finite() conversions gave them.
+    d_max, gamma, x0 = map(float, (cfg.difficulty.d_max, cfg.difficulty.gamma, cfg.difficulty.x0))
+    v0, beta = float(cfg.diminishing.v0), float(cfg.diminishing.beta)
+    a, b, c = map(float, (cfg.retention.a, cfg.retention.b, cfg.retention.c))
+    decay_factor = math.exp(-cfg.decay.lam)
+    skill_gain, boost = float(cfg.skill_gain), float(cfg.engagement_boost)
+    multiplier = float(cfg.intervention_reward_multiplier)
+    inf = math.inf
+
+    engagement, skill = float(state.engagement), float(state.skill)
+    cumulative, pending = float(state.cumulative_reward), float(state.pending_reward_multiplier)
+    n, t = state.interactions, state.time
+    points = []
+    append = points.append
+    for u in draws:
+        z = gamma * (skill - x0)
+        if not -inf < z < inf:
+            _finite("z", z)  # raises logistic_difficulty's message
+        difficulty = d_max * _sigmoid(z)
+        success = u < 1.0 - difficulty
+        if success:
+            skill = skill + skill_gain * (1.0 - skill)
+
+        reward = v0 / (1.0 + beta * n) * pending
+        pending = 1.0
+        # Never negative: every term is >= 0, so only the upper clamp can act.
+        engagement = engagement * decay_factor + boost * (reward / v0)
+        if engagement > 1.0:
+            engagement = 1.0
+        if reward == inf:  # the only non-finite reward; e is nan when boost is 0
+            _finite("e", engagement)
+            _finite("r", reward)
+        z = a * engagement + b * reward - c
+        if not -inf < z < inf:
+            _finite("z", z)  # raises retention_probability's message
+        retention = _sigmoid(z)
+
+        cumulative = cumulative + reward
+        if cumulative == inf:
+            raise ValueError(f"cumulative_reward must be >= 0, got {cumulative}")
+        n += 1
+        t += 1
+        intervened = retention < threshold
+        append(TimelinePoint(t, engagement, skill, reward, difficulty, retention, success, intervened))
+        if intervened:  # apply_intervention
+            engagement = engagement + boost
+            if engagement > 1.0:
+                engagement = 1.0
+            pending = multiplier
+    return points, UserState(engagement, skill, cumulative, n, t, pending)
 
 
 def step_user(
     state: UserState, cfg: TimelineConfig, rng: np.random.Generator
 ) -> tuple[UserState, TimelinePoint]:
-    """Advance a user by one timeline step (dynamics order in module doc).
+    """Advance a user by one timeline step (dynamics order in module doc),
+    with no at-risk check.
 
     Consumes exactly one uniform draw from rng. Returns the successor state
     and the emitted point; the input state is untouched.
     """
-    difficulty = logistic_difficulty(cfg.difficulty, state.skill)
-    success = bool(rng.random() < 1.0 - difficulty)
-
-    skill = state.skill
-    if success:
-        skill = skill + cfg.skill_gain * (1.0 - skill)
-
-    reward = diminishing_reward_value(cfg.diminishing, state.interactions)
-    reward *= state.pending_reward_multiplier
-
-    decay_factor = math.exp(-cfg.decay.lam)
-    engagement = _clamp01(
-        state.engagement * decay_factor + cfg.engagement_boost * (reward / cfg.diminishing.v0)
-    )
-    retention = retention_probability(cfg.retention, engagement, reward)
-
-    new_state = UserState(
-        engagement=engagement,
-        skill=skill,
-        cumulative_reward=state.cumulative_reward + reward,
-        interactions=state.interactions + 1,
-        time=state.time + 1,
-        pending_reward_multiplier=1.0,
-    )
-    point = TimelinePoint(
-        step=new_state.time,
-        engagement=engagement,
-        skill=skill,
-        reward_granted=reward,
-        difficulty=difficulty,
-        retention_prob=retention,
-        success=success,
-        intervened=False,
-    )
-    return new_state, point
+    points, new_state = _advance(state, cfg, [rng.random()], 0.0)
+    return new_state, points[0]
 
 
 def detect_at_risk(point: TimelinePoint, threshold: float) -> bool:
@@ -258,17 +295,9 @@ def apply_intervention(state: UserState, cfg: TimelineConfig) -> UserState:
 def run_timeline(initial: UserState, cfg: TimelineConfig) -> list[TimelinePoint]:
     """Run cfg.steps timeline steps from the initial state.
 
-    After each step, when interventions are enabled, the emitted point is
-    checked by detect_at_risk and apply_intervention adjusts the state; the
-    point is then flagged as intervened. Deterministic given cfg.seed.
+    After each step, when interventions are enabled, a point that
+    detect_at_risk would flag is marked intervened and the state is adjusted
+    as apply_intervention does. Deterministic given cfg.seed.
     """
-    rng = make_rng(cfg.seed)
-    state = initial
-    points: list[TimelinePoint] = []
-    for _ in range(cfg.steps):
-        state, point = step_user(state, cfg, rng)
-        if cfg.interventions_enabled and detect_at_risk(point, cfg.intervention_threshold):
-            state = apply_intervention(state, cfg)
-            point = replace(point, intervened=True)
-        points.append(point)
-    return points
+    draws = make_rng(cfg.seed).random(cfg.steps).tolist()
+    return _advance(initial, cfg, draws, cfg.intervention_threshold)[0]

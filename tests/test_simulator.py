@@ -1,14 +1,22 @@
 """Tests for the session and timeline simulators."""
 
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from engagekit.models import case_difficulty
+from engagekit.models import (
+    DiminishingRewardParams,
+    LogisticDifficultyParams,
+    RetentionParams,
+    case_difficulty,
+)
 from engagekit.rng import make_rng
 from engagekit.simulator import (
+    SessionStep,
     TimelinePoint,
     UserState,
     apply_intervention,
@@ -276,3 +284,71 @@ def test_timeline_config_validation(overrides):
 
 def test_skill_gain_zero_is_allowed():
     assert make_timeline_config(skill_gain=0.0).skill_gain == 0.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UserState(engagement=0.5, skill=0.5, interactions=True),
+        lambda: UserState(engagement=0.5, skill=0.5, time=True),
+        lambda: make_timeline_config(steps=True),
+        lambda: simulate_session(True, 0),
+    ],
+    ids=["interactions", "time", "steps", "num_tasks"],
+)
+def test_bool_counts_rejected(make):
+    with pytest.raises(ValueError, match=r"must be a (non-negative|positive) integer, got True"):
+        make()
+
+
+# --- non-finite intermediates ------------------------------------------------
+
+MAX_FLOAT = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "cfg_overrides, state_overrides, message",
+    [
+        # gamma * (skill - x0) overflows inside the difficulty kernel
+        ({"difficulty": LogisticDifficultyParams(d_max=1.0, gamma=1e308, x0=-5.0)}, {},
+         "z must be finite, got inf"),
+        # the armed multiplier doubles a near-maximal v0 past the float range
+        ({"diminishing": DiminishingRewardParams(v0=MAX_FLOAT, beta=0.3)},
+         {"pending_reward_multiplier": 2.0}, "r must be finite, got inf"),
+        # same overflow with engagement_boost = 0: 0 * inf makes engagement nan
+        ({"diminishing": DiminishingRewardParams(v0=MAX_FLOAT, beta=0.3), "engagement_boost": 0.0},
+         {"pending_reward_multiplier": 2.0}, "e must be finite, got nan"),
+        # b * reward overflows inside the retention kernel
+        ({"diminishing": DiminishingRewardParams(v0=1e308, beta=0.0),
+          "retention": RetentionParams(a=0.5, b=10.0, c=1.5)}, {}, "z must be finite, got inf"),
+        # every reward is finite, their running sum is not
+        ({"diminishing": DiminishingRewardParams(v0=1e308, beta=0.0), "intervention_threshold": 0.0}, {},
+         "cumulative_reward must be >= 0, got inf"),
+    ],
+    ids=["difficulty-logit", "reward", "engagement", "retention-logit", "cumulative-reward"],
+)
+def test_non_finite_intermediates_keep_their_messages(cfg_overrides, state_overrides, message):
+    cfg = make_timeline_config(steps=3, **cfg_overrides)
+    state = UserState(engagement=0.9, skill=0.5, **state_overrides)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_timeline(state, cfg)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rng = make_rng(0)
+        for _ in range(cfg.steps):
+            state, _ = step_user(state, cfg, rng)
+
+
+# --- record protocols --------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "record",
+    [make_point(0.25, step=3), SessionStep(2, 0.5, 3.5, 0.9, False)],
+    ids=["TimelinePoint", "SessionStep"],
+)
+def test_records_support_replace_copy_and_pickle(record):
+    changed = replace(record, success=not record.success)
+    assert changed.success is not record.success
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(AttributeError):
+        record.success = True
