@@ -197,3 +197,165 @@ def test_confusion_csv_layout(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         ",predicted_0,predicted_1\ntrue_0,188,0\ntrue_1,4,8\n"
     )
+
+
+# --- pinned loader messages --------------------------------------------------
+#
+# The exact ConfigError.violations list for every way a field of the default
+# profile can be wrong. Each row is one field: its section path, JSON key,
+# kind, and every bound crossed once with the message it must produce.
+
+NAN = json.loads("NaN")
+MISSING = object()
+
+FIELD_BOUNDS = [
+    ("models.reward_frequency", "r0", "number",
+     [(0, "must be > 0.0, got 0.0"), (-1.5, "must be > 0.0, got -1.5")]),
+    ("models.reward_frequency", "alpha", "number", []),
+    ("models.diminishing", "v0", "number", [(0.0, "must be > 0.0, got 0.0")]),
+    ("models.diminishing", "beta", "number", [(-1, "must be >= 0.0, got -1.0")]),
+    ("models.difficulty", "d_max", "number", [(-2.0, "must be > 0.0, got -2.0")]),
+    ("models.difficulty", "gamma", "number", [(0, "must be > 0.0, got 0.0")]),
+    ("models.difficulty", "x0", "number", []),
+    ("models.flow", "k", "number", []),
+    ("models.retention", "a", "number", []),
+    ("models.retention", "b", "number", []),
+    ("models.retention", "c", "number", []),
+    ("models.decay", "e0", "number",
+     [(-0.1, "must be >= 0.0, got -0.1"), (1.5, "must be <= 1.0, got 1.5")]),
+    ("models.decay", "lambda", "number", [(-0.1, "must be >= 0.0, got -0.1")]),
+    ("fit", "learning_rate", "number", [(0.0, "must be > 0.0, got 0.0")]),
+    ("fit", "max_epochs", "integer", [(0, "must be >= 1, got 0")]),
+    ("fit", "convergence_tol", "number", [(-1e-6, "must be > 0.0, got -1e-06")]),
+    ("case_study", "num_samples", "integer", [(1, "must be >= 2, got 1")]),
+    ("case_study", "test_fraction", "number",
+     [(0, "must be > 0.0, got 0.0"), (1, "must be < 1.0, got 1.0")]),
+    ("timeline", "steps", "integer", [(0, "must be >= 1, got 0")]),
+    ("timeline", "initial_skill", "number",
+     [(-0.5, "must be >= 0.0, got -0.5"), (1.5, "must be <= 1.0, got 1.5")]),
+    ("timeline", "skill_gain", "number",
+     [(-0.1, "must be >= 0.0, got -0.1"), (1.0, "must be < 1.0, got 1.0")]),
+    ("timeline", "engagement_boost", "number", [(-0.3, "must be >= 0.0, got -0.3")]),
+    ("timeline", "intervention_threshold", "number",
+     [(-0.1, "must be >= 0.0, got -0.1"), (1, "must be < 1.0, got 1.0")]),
+    ("timeline", "intervention_reward_multiplier", "number", [(0.5, "must be >= 1.0, got 0.5")]),
+    *[
+        ("seeds", name, "integer",
+         [(-1, "must be >= 0, got -1"),
+          (2**64, "must be <= 18446744073709551615, got 18446744073709551616")])
+        for name in ("data", "split", "fit", "sim")
+    ],
+    ("output", "report_json", "string", []),
+    ("output", "confusion_csv", "string", []),
+]
+
+WRONG_TYPES = {
+    "number": [("high", "must be a number, got 'high'"), (True, "must be a number, got True"),
+               (None, "must be a number, got None"), (NAN, "must be finite, got nan")],
+    "integer": [("high", "must be an integer, got 'high'"), (True, "must be an integer, got True"),
+                (3.0, "must be an integer, got 3.0"), (NAN, "must be an integer, got nan")],
+    "string": [(7, "must be a non-empty string, got 7"), (True, "must be a non-empty string, got True"),
+               ("", "must be a non-empty string, got ''"), (NAN, "must be a non-empty string, got nan")],
+}
+
+SECTIONS = [
+    "models", "models.reward_frequency", "models.diminishing", "models.difficulty",
+    "models.flow", "models.retention", "models.decay",
+    "fit", "case_study", "timeline", "seeds", "output",
+]
+
+
+def _section_of(raw: dict, path: str) -> dict:
+    for key in path.split("."):
+        raw = raw[key]
+    return raw
+
+
+def _field_cases():
+    for path, key, kind, bounds in FIELD_BOUNDS:
+        field = f"{path}.{key}"
+        yield pytest.param(path, key, MISSING, [f"{field}: missing required field"], id=f"{field}-missing")
+        for value, message in WRONG_TYPES[kind] + bounds:
+            yield pytest.param(path, key, value, [f"{field}: {message}"], id=f"{field}-{value!r}")
+
+
+@pytest.mark.parametrize("path, key, value, expected", list(_field_cases()))
+def test_field_violation_messages_are_pinned(path, key, value, expected):
+    raw = default_raw()
+    section = _section_of(raw, path)
+    assert key in section
+    if value is MISSING:
+        del section[key]
+    else:
+        section[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == expected
+
+
+@pytest.mark.parametrize("path", ["", *SECTIONS])
+def test_unknown_key_message_is_pinned(path):
+    raw = default_raw()
+    (_section_of(raw, path) if path else raw)["extra"] = 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [f"{path or 'config'}.extra: unexpected field"]
+
+
+@pytest.mark.parametrize("path", SECTIONS)
+@pytest.mark.parametrize("value", [None, [], 3, "section"])
+def test_section_messages_are_pinned(path, value):
+    parent_path, _, key = path.rpartition(".")
+    raw = default_raw()
+    parent = _section_of(raw, parent_path) if parent_path else raw
+    parent[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [f"{path}: must be an object"]
+    del parent[key]
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [f"{path}: missing required section"]
+
+
+@pytest.mark.parametrize("document", [[1, 2, 3], "config", 3, None, NAN])
+def test_top_level_message_is_pinned(document):
+    with pytest.raises(ConfigError) as err:
+        parse_config(document)
+    assert err.value.violations == ["top level: must be a JSON object"]
+
+
+def test_violation_order_is_pinned():
+    raw = default_raw()
+    raw["extra"] = 1
+    del raw["fit"]
+    raw["output"] = "paths"
+    raw["models"]["bogus"] = {}
+    del raw["models"]["flow"]
+    raw["models"]["reward_frequency"]["r0"] = 0
+    raw["models"]["decay"]["half_life"] = 3
+    raw["models"]["decay"]["e0"] = "high"
+    raw["models"]["decay"]["lambda"] = -1
+    raw["case_study"]["num_samples"] = 1
+    raw["timeline"]["steps"] = True
+    raw["timeline"]["skill_gain"] = 1.0
+    del raw["seeds"]["fit"]
+    raw["seeds"]["sim"] = -1
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [
+        "config.extra: unexpected field",
+        "fit: missing required section",
+        "output: must be an object",
+        "models.bogus: unexpected field",
+        "models.flow: missing required section",
+        "models.reward_frequency.r0: must be > 0.0, got 0.0",
+        "models.decay.half_life: unexpected field",
+        "models.decay.e0: must be a number, got 'high'",
+        "models.decay.lambda: must be >= 0.0, got -1.0",
+        "case_study.num_samples: must be >= 2, got 1",
+        "timeline.steps: must be an integer, got True",
+        "timeline.skill_gain: must be < 1.0, got 1.0",
+        "seeds.fit: missing required field",
+        "seeds.sim: must be >= 0, got -1",
+    ]
