@@ -1,9 +1,13 @@
 """JSON run configuration: schema, validation, and assembly.
 
 A run config is a single JSON document with one section per model-parameter
-record plus fit, case-study, timeline, seed, and output sections. Loading
-validates every field and reports all violations at once, each named by its
-field path (e.g. ``models.diminishing.beta``).
+record plus fit, case-study, timeline, seed, and output sections. The schema
+is the records themselves: each section is a dataclass, and each of its
+fields carries its constraint (kind, bounds, JSON key) in its metadata, the
+same table the record checks when built directly (see ``_spec``). A field
+with no constraint is a nested section. Loading walks that table once and
+reports all violations at once, each named by its field path (e.g.
+``models.diminishing.beta``); unknown keys are violations too.
 
 The packaged ``default_config.json`` is the documented default profile; all
 of its values are configuration, never hard-coded in the model functions.
@@ -11,35 +15,29 @@ of its values are configuration, never hard-coded in the model functions.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
+import typing
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
+from ._spec import (
+    AT_LEAST_ONE, INTEGER, NON_EMPTY, NON_NEGATIVE, NUMBER, POSITIVE_COUNT, UNIT, UNIT_BELOW_ONE, UNIT_OPEN,
+    Spec, check_fields,
+)
 from .models import (
-    DiminishingRewardParams,
-    EngagementDecayParams,
-    FlowParams,
-    LogisticDifficultyParams,
-    RetentionParams,
+    DiminishingRewardParams, EngagementDecayParams, FlowParams, LogisticDifficultyParams, RetentionParams,
     RewardFrequencyParams,
 )
 from .regression import FitConfig
-from .rng import MAX_SEED
+from .rng import SEED
 from .simulator import TimelineConfig, UserState
 
 __all__ = [
-    "ConfigError",
-    "ModelProfile",
-    "CaseStudySettings",
-    "TimelineSettings",
-    "Seeds",
-    "OutputPaths",
-    "RunConfig",
-    "load_config",
-    "parse_config",
-    "default_config_path",
+    "ConfigError", "ModelProfile", "CaseStudySettings", "TimelineSettings", "Seeds", "OutputPaths",
+    "RunConfig", "load_config", "parse_config", "default_config_path",
 ]
 
 CONFIG_ENV_VAR = "ENGAGEKIT_CONFIG"
@@ -67,34 +65,43 @@ class ModelProfile:
 
 @dataclass(frozen=True)
 class CaseStudySettings:
-    num_samples: int
-    test_fraction: float
+    num_samples: int = Spec(INTEGER, ge=2).field()
+    test_fraction: float = UNIT_OPEN.field()
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class TimelineSettings:
-    steps: int
-    initial_skill: float
-    skill_gain: float
-    engagement_boost: float
-    intervention_threshold: float
-    intervention_reward_multiplier: float
+    steps: int = POSITIVE_COUNT.field()
+    initial_skill: float = UNIT.field()
+    skill_gain: float = UNIT_BELOW_ONE.field()
+    engagement_boost: float = NON_NEGATIVE.field()
+    intervention_threshold: float = UNIT_BELOW_ONE.field()
+    intervention_reward_multiplier: float = AT_LEAST_ONE.field()
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class Seeds:
-    """Independent 64-bit seeds, one per pipeline stage."""
+    """Independent 64-bit seeds, one per pipeline stage. No command reads
+    ``fit``: the full-batch fit draws nothing."""
 
-    data: int
-    split: int
-    fit: int
-    sim: int
+    data: int = SEED.field()
+    split: int = SEED.field()
+    fit: int = SEED.field()
+    sim: int = SEED.field()
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class OutputPaths:
-    report_json: str
-    confusion_csv: str
+    report_json: str = NON_EMPTY.field()
+    confusion_csv: str = NON_EMPTY.field()
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -111,10 +118,8 @@ class RunConfig:
         t = self.timeline
         return TimelineConfig(
             steps=t.steps if steps is None else steps,
-            reward_frequency=self.models.reward_frequency,
             diminishing=self.models.diminishing,
             difficulty=self.models.difficulty,
-            flow=self.models.flow,
             retention=self.models.retention,
             decay=self.models.decay,
             skill_gain=t.skill_gain,
@@ -135,104 +140,39 @@ def default_config_path() -> Path:
     return Path(str(resources.files("engagekit").joinpath("default_config.json")))
 
 
-# --- validation helpers -----------------------------------------------------
-#
-# Each helper appends "path: message" strings to the shared violations list
-# and returns None on failure, so a single pass surfaces every problem.
+@cache
+def _layout(cls) -> dict[str, tuple]:
+    """JSON key -> (field name, spec, type) per field of cls; a field with no
+    spec is a nested section of that record type."""
+    specs = {f.name: f.metadata.get("spec") for f in dataclasses.fields(cls)}
+    types = typing.get_type_hints(cls) if None in specs.values() else {}
+    return {spec.key or name if spec else name: (name, spec, types.get(name)) for name, spec in specs.items()}
 
 
-def _section(raw: dict, key: str, violations: list[str], prefix: str = "") -> dict | None:
-    path = f"{prefix}.{key}" if prefix else key
-    if key not in raw:
-        violations.append(f"{path}: missing required section")
-        return None
-    value = raw[key]
-    if not isinstance(value, dict):
-        violations.append(f"{path}: must be an object")
-        return None
-    return value
-
-
-def _unknown_keys(section: dict, path: str, known: tuple[str, ...], violations: list[str]) -> None:
-    for key in section:
-        if key not in known:
-            violations.append(f"{path}.{key}: unexpected field")
-
-
-def _number(
-    section: dict,
-    path: str,
-    key: str,
-    violations: list[str],
-    *,
-    ge: float | None = None,
-    gt: float | None = None,
-    lt: float | None = None,
-    le: float | None = None,
-) -> float | None:
-    full = f"{path}.{key}"
-    if key not in section:
-        violations.append(f"{full}: missing required field")
-        return None
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        violations.append(f"{full}: must be a number, got {value!r}")
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        violations.append(f"{full}: must be finite, got {value!r}")
-        return None
-    if ge is not None and value < ge:
-        violations.append(f"{full}: must be >= {ge}, got {value}")
-        return None
-    if gt is not None and value <= gt:
-        violations.append(f"{full}: must be > {gt}, got {value}")
-        return None
-    if lt is not None and value >= lt:
-        violations.append(f"{full}: must be < {lt}, got {value}")
-        return None
-    if le is not None and value > le:
-        violations.append(f"{full}: must be <= {le}, got {value}")
-        return None
-    return value
-
-
-def _integer(
-    section: dict,
-    path: str,
-    key: str,
-    violations: list[str],
-    *,
-    ge: int,
-    le: int | None = None,
-) -> int | None:
-    full = f"{path}.{key}"
-    if key not in section:
-        violations.append(f"{full}: missing required field")
-        return None
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        violations.append(f"{full}: must be an integer, got {value!r}")
-        return None
-    if value < ge:
-        violations.append(f"{full}: must be >= {ge}, got {value}")
-        return None
-    if le is not None and value > le:
-        violations.append(f"{full}: must be <= {le}, got {value}")
-        return None
-    return value
-
-
-def _string(section: dict, path: str, key: str, violations: list[str]) -> str | None:
-    full = f"{path}.{key}"
-    if key not in section:
-        violations.append(f"{full}: missing required field")
-        return None
-    value = section[key]
-    if not isinstance(value, str) or not value:
-        violations.append(f"{full}: must be a non-empty string, got {value!r}")
-        return None
-    return value
+def _build(cls, raw: dict, path: str, violations: list[str]):
+    """Build record cls from its JSON object raw, found at path, adding a
+    "path: message" line to violations per violation; nested sections come
+    after every field at this level. Returns None if any was violated."""
+    found = len(violations)
+    layout = _layout(cls)
+    violations += [f"{path or 'config'}.{key}: unexpected field" for key in raw if key not in layout]
+    values, sections = {}, []
+    for key, (name, spec, record) in layout.items():
+        where = f"{path}.{key}" if path else key
+        if key not in raw:
+            violations.append(f"{where}: missing required {'section' if spec is None else 'field'}")
+        elif spec is None:
+            if isinstance(raw[key], dict):
+                sections.append((name, record, raw[key], where))
+            else:
+                violations.append(f"{where}: must be an object")
+        elif (problem := spec.problem(raw[key])) is not None:
+            violations.append(f"{where}: {problem}")
+        else:
+            values[name] = float(raw[key]) if spec.kind == NUMBER else raw[key]
+    for name, record, section, where in sections:
+        values[name] = _build(record, section, where, violations)
+    return cls(**values) if len(violations) == found else None
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -244,136 +184,10 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: must be a JSON object"])
     violations: list[str] = []
-    _unknown_keys(raw, "config", ("models", "fit", "case_study", "timeline", "seeds", "output"), violations)
-
-    models_raw = _section(raw, "models", violations)
-    fit_raw = _section(raw, "fit", violations)
-    case_raw = _section(raw, "case_study", violations)
-    timeline_raw = _section(raw, "timeline", violations)
-    seeds_raw = _section(raw, "seeds", violations)
-    output_raw = _section(raw, "output", violations)
-
-    values: dict[str, object] = {}
-
-    if models_raw is not None:
-        _unknown_keys(
-            models_raw, "models",
-            ("reward_frequency", "diminishing", "difficulty", "flow", "retention", "decay"),
-            violations,
-        )
-        sections = {
-            name: _section(models_raw, name, violations, prefix="models")
-            for name in ("reward_frequency", "diminishing", "difficulty", "flow", "retention", "decay")
-        }
-
-        sec = sections["reward_frequency"]
-        if sec is not None:
-            _unknown_keys(sec, "models.reward_frequency", ("r0", "alpha"), violations)
-            values["r0"] = _number(sec, "models.reward_frequency", "r0", violations, gt=0.0)
-            values["alpha"] = _number(sec, "models.reward_frequency", "alpha", violations)
-        sec = sections["diminishing"]
-        if sec is not None:
-            _unknown_keys(sec, "models.diminishing", ("v0", "beta"), violations)
-            values["v0"] = _number(sec, "models.diminishing", "v0", violations, gt=0.0)
-            values["beta"] = _number(sec, "models.diminishing", "beta", violations, ge=0.0)
-        sec = sections["difficulty"]
-        if sec is not None:
-            _unknown_keys(sec, "models.difficulty", ("d_max", "gamma", "x0"), violations)
-            values["d_max"] = _number(sec, "models.difficulty", "d_max", violations, gt=0.0)
-            values["gamma"] = _number(sec, "models.difficulty", "gamma", violations, gt=0.0)
-            values["x0"] = _number(sec, "models.difficulty", "x0", violations)
-        sec = sections["flow"]
-        if sec is not None:
-            _unknown_keys(sec, "models.flow", ("k",), violations)
-            values["k"] = _number(sec, "models.flow", "k", violations)
-        sec = sections["retention"]
-        if sec is not None:
-            _unknown_keys(sec, "models.retention", ("a", "b", "c"), violations)
-            values["a"] = _number(sec, "models.retention", "a", violations)
-            values["b"] = _number(sec, "models.retention", "b", violations)
-            values["c"] = _number(sec, "models.retention", "c", violations)
-        sec = sections["decay"]
-        if sec is not None:
-            _unknown_keys(sec, "models.decay", ("e0", "lambda"), violations)
-            values["e0"] = _number(sec, "models.decay", "e0", violations, ge=0.0, le=1.0)
-            values["lam"] = _number(sec, "models.decay", "lambda", violations, ge=0.0)
-
-    if fit_raw is not None:
-        _unknown_keys(fit_raw, "fit", ("learning_rate", "max_epochs", "convergence_tol"), violations)
-        values["learning_rate"] = _number(fit_raw, "fit", "learning_rate", violations, gt=0.0)
-        values["max_epochs"] = _integer(fit_raw, "fit", "max_epochs", violations, ge=1)
-        values["convergence_tol"] = _number(fit_raw, "fit", "convergence_tol", violations, gt=0.0)
-
-    if case_raw is not None:
-        _unknown_keys(case_raw, "case_study", ("num_samples", "test_fraction"), violations)
-        values["num_samples"] = _integer(case_raw, "case_study", "num_samples", violations, ge=2)
-        values["test_fraction"] = _number(case_raw, "case_study", "test_fraction", violations, gt=0.0, lt=1.0)
-
-    if timeline_raw is not None:
-        _unknown_keys(
-            timeline_raw, "timeline",
-            ("steps", "initial_skill", "skill_gain", "engagement_boost",
-             "intervention_threshold", "intervention_reward_multiplier"),
-            violations,
-        )
-        values["steps"] = _integer(timeline_raw, "timeline", "steps", violations, ge=1)
-        values["initial_skill"] = _number(timeline_raw, "timeline", "initial_skill", violations, ge=0.0, le=1.0)
-        values["skill_gain"] = _number(timeline_raw, "timeline", "skill_gain", violations, ge=0.0, lt=1.0)
-        values["engagement_boost"] = _number(timeline_raw, "timeline", "engagement_boost", violations, ge=0.0)
-        values["intervention_threshold"] = _number(
-            timeline_raw, "timeline", "intervention_threshold", violations, ge=0.0, lt=1.0
-        )
-        values["intervention_reward_multiplier"] = _number(
-            timeline_raw, "timeline", "intervention_reward_multiplier", violations, ge=1.0
-        )
-
-    if seeds_raw is not None:
-        _unknown_keys(seeds_raw, "seeds", ("data", "split", "fit", "sim"), violations)
-        for name in ("data", "split", "fit", "sim"):
-            values[f"seed_{name}"] = _integer(seeds_raw, "seeds", name, violations, ge=0, le=MAX_SEED)
-
-    if output_raw is not None:
-        _unknown_keys(output_raw, "output", ("report_json", "confusion_csv"), violations)
-        values["report_json"] = _string(output_raw, "output", "report_json", violations)
-        values["confusion_csv"] = _string(output_raw, "output", "confusion_csv", violations)
-
-    if violations or any(v is None for v in values.values()):
+    cfg = _build(RunConfig, raw, "", violations)
+    if cfg is None:
         raise ConfigError(violations)
-
-    return RunConfig(
-        models=ModelProfile(
-            reward_frequency=RewardFrequencyParams(r0=values["r0"], alpha=values["alpha"]),
-            diminishing=DiminishingRewardParams(v0=values["v0"], beta=values["beta"]),
-            difficulty=LogisticDifficultyParams(
-                d_max=values["d_max"], gamma=values["gamma"], x0=values["x0"]
-            ),
-            flow=FlowParams(k=values["k"]),
-            retention=RetentionParams(a=values["a"], b=values["b"], c=values["c"]),
-            decay=EngagementDecayParams(e0=values["e0"], lam=values["lam"]),
-        ),
-        fit=FitConfig(
-            learning_rate=values["learning_rate"],
-            max_epochs=values["max_epochs"],
-            convergence_tol=values["convergence_tol"],
-            seed=values["seed_fit"],
-        ),
-        case_study=CaseStudySettings(
-            num_samples=values["num_samples"], test_fraction=values["test_fraction"]
-        ),
-        timeline=TimelineSettings(
-            steps=values["steps"],
-            initial_skill=values["initial_skill"],
-            skill_gain=values["skill_gain"],
-            engagement_boost=values["engagement_boost"],
-            intervention_threshold=values["intervention_threshold"],
-            intervention_reward_multiplier=values["intervention_reward_multiplier"],
-        ),
-        seeds=Seeds(
-            data=values["seed_data"], split=values["seed_split"],
-            fit=values["seed_fit"], sim=values["seed_sim"],
-        ),
-        output=OutputPaths(report_json=values["report_json"], confusion_csv=values["confusion_csv"]),
-    )
+    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:

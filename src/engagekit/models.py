@@ -13,14 +13,17 @@ these functions:
     case_difficulty           sigmoid(engagement + reward - 1)
 
 All quantities are 64-bit floats. Parameter records are frozen dataclasses
-validated at construction; model functions are pure, so identical inputs
-produce bit-identical outputs and concurrent calls are safe.
+whose fields declare their constraints (see ``_spec``), checked at
+construction; model functions are pure, so identical inputs produce
+bit-identical outputs and concurrent calls are safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from ._spec import COUNT, FINITE, NON_NEGATIVE, NUMBER, POSITIVE, UNIT, Spec, check_fields
 
 __all__ = [
     "RewardFrequencyParams",
@@ -51,26 +54,15 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _count(name: str, value: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class RewardFrequencyParams:
     """Exponential reward schedule: r0 rewards per unit time at t=0,
     scaled by exp(alpha * t) as engagement accumulates."""
 
-    r0: float
-    alpha: float
+    r0: float = POSITIVE.field()
+    alpha: float = FINITE.field()
 
-    def __post_init__(self) -> None:
-        if not (_finite("r0", self.r0) > 0.0):
-            raise ValueError(f"r0 must be > 0, got {self.r0}")
-        _finite("alpha", self.alpha)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -78,14 +70,10 @@ class DiminishingRewardParams:
     """Hyperbolic reward decay: v0 points on the first interaction,
     shrinking by a factor 1/(1 + beta*n) after n interactions."""
 
-    v0: float
-    beta: float
+    v0: float = POSITIVE.field()
+    beta: float = NON_NEGATIVE.field()
 
-    def __post_init__(self) -> None:
-        if not (_finite("v0", self.v0) > 0.0):
-            raise ValueError(f"v0 must be > 0, got {self.v0}")
-        if not (_finite("beta", self.beta) >= 0.0):
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -93,26 +81,20 @@ class LogisticDifficultyParams:
     """Logistic difficulty curve over skill: saturates at d_max, rises at
     rate gamma, centered on the baseline skill level x0."""
 
-    d_max: float
-    gamma: float
-    x0: float
+    d_max: float = POSITIVE.field()
+    gamma: float = POSITIVE.field()
+    x0: float = FINITE.field()
 
-    def __post_init__(self) -> None:
-        if not (_finite("d_max", self.d_max) > 0.0):
-            raise ValueError(f"d_max must be > 0, got {self.d_max}")
-        if not (_finite("gamma", self.gamma) > 0.0):
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        _finite("x0", self.x0)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class FlowParams:
     """Linear challenge-skill balance: challenge sits k units above skill."""
 
-    k: float
+    k: float = FINITE.field()
 
-    def __post_init__(self) -> None:
-        _finite("k", self.k)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -120,28 +102,21 @@ class RetentionParams:
     """Logistic retention coefficients: a weighs engagement, b weighs
     reward, c is the decision threshold."""
 
-    a: float
-    b: float
-    c: float
+    a: float = FINITE.field()
+    b: float = FINITE.field()
+    c: float = FINITE.field()
 
-    def __post_init__(self) -> None:
-        _finite("a", self.a)
-        _finite("b", self.b)
-        _finite("c", self.c)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class EngagementDecayParams:
     """Exponential engagement decay from e0 at rate lam per unit time."""
 
-    e0: float
-    lam: float
+    e0: float = UNIT.field()
+    lam: float = Spec(NUMBER, ge=0.0, key="lambda").field()
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= _finite("e0", self.e0) <= 1.0):
-            raise ValueError(f"e0 must be in [0, 1], got {self.e0}")
-        if not (_finite("lam", self.lam) >= 0.0):
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+    __post_init__ = check_fields
 
 
 def sigmoid(z: float) -> float:
@@ -168,15 +143,13 @@ def _sigmoid(z: float) -> float:
 
 def reward_frequency(p: RewardFrequencyParams, t: float) -> float:
     """Reward rate at time t >= 0: r0 * exp(alpha * t)."""
-    t = _finite("t", t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return p.r0 * math.exp(p.alpha * t)
+    NON_NEGATIVE.check("t", t)
+    return p.r0 * math.exp(p.alpha * float(t))
 
 
 def diminishing_reward_value(p: DiminishingRewardParams, n: int) -> float:
     """Reward value after n interactions: v0 / (1 + beta * n)."""
-    n = _count("n", n)
+    COUNT.check("n", n)
     return p.v0 / (1.0 + p.beta * n)
 
 
@@ -202,10 +175,8 @@ def retention_probability(p: RetentionParams, e: float, r: float) -> float:
 
 def engagement_decay(p: EngagementDecayParams, t: float) -> float:
     """Engagement remaining at time t >= 0: e0 * exp(-lam * t)."""
-    t = _finite("t", t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return p.e0 * math.exp(-p.lam * t)
+    NON_NEGATIVE.check("t", t)
+    return p.e0 * math.exp(-p.lam * float(t))
 
 
 def case_difficulty(engagement: float, reward: float) -> float:

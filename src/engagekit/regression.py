@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import sigmoid
+from ._spec import COUNT, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, check_fields
+from .models import _sigmoid
 from .rng import make_rng
 
 __all__ = [
@@ -65,9 +66,13 @@ class Dataset:
     retention: np.ndarray
 
     def __post_init__(self) -> None:
+        # Labels are checked as given: the int64 cast would turn 0.7 into 0.
+        labels = np.asarray(self.retention)
+        if not np.isin(labels, (0, 1)).all():
+            raise ValueError("retention labels must be 0 or 1")
         e = _readonly(np.asarray(self.engagement, dtype=np.float64))
         r = _readonly(np.asarray(self.reward, dtype=np.float64))
-        y = _readonly(np.asarray(self.retention, dtype=np.int64))
+        y = _readonly(np.asarray(labels, dtype=np.int64))
         object.__setattr__(self, "engagement", e)
         object.__setattr__(self, "reward", r)
         object.__setattr__(self, "retention", y)
@@ -77,8 +82,6 @@ class Dataset:
             raise ValueError("dataset must be non-empty")
         if not (np.isfinite(e).all() and np.isfinite(r).all()):
             raise ValueError("feature values must be finite")
-        if not np.isin(y, (0, 1)).all():
-            raise ValueError("retention labels must be 0 or 1")
 
     def __len__(self) -> int:
         return len(self.engagement)
@@ -122,24 +125,13 @@ class SplitPair:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Gradient-descent settings for :func:`fit_logistic`.
+    """Gradient-descent settings for :func:`fit_logistic`."""
 
-    The seed is carried for config completeness; the full-batch optimizer
-    itself is deterministic and draws nothing.
-    """
+    learning_rate: float = POSITIVE.field(0.5)
+    max_epochs: int = POSITIVE_COUNT.field(5000)
+    convergence_tol: float = POSITIVE.field(1e-6)
 
-    learning_rate: float = 0.5
-    max_epochs: int = 5000
-    convergence_tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (isinstance(self.max_epochs, int) and self.max_epochs >= 1):
-            raise ValueError(f"max_epochs must be a positive integer, got {self.max_epochs}")
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
-            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -181,16 +173,12 @@ class RetentionModel:
 class ConfusionMatrix:
     """2x2 counts with rows = true label, columns = predicted, order (0, 1)."""
 
-    tn: int
-    fp: int
-    fn: int
-    tp: int
+    tn: int = COUNT.field()
+    fp: int = COUNT.field()
+    fn: int = COUNT.field()
+    tp: int = COUNT.field()
 
-    def __post_init__(self) -> None:
-        for name in ("tn", "fp", "fn", "tp"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    __post_init__ = check_fields
 
     @property
     def total(self) -> int:
@@ -212,8 +200,7 @@ def generate_synthetic_dataset(n: int, seed: int) -> Dataset:
     on one side of a linear boundary and yields a 5% positive rate in
     expectation. Deterministic given the seed.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    POSITIVE_COUNT.check("n", n)
     rng = make_rng(seed)
     engagement = rng.random(n)
     reward = rng.random(n) * 10.0
@@ -227,8 +214,7 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
     n = len(d)
     if n < 2:
         raise ValueError("dataset must have at least 2 rows to split")
-    if not (math.isfinite(test_fraction) and 0.0 < test_fraction < 1.0):
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    UNIT_OPEN.check("test_fraction", test_fraction)
     n_test = round(test_fraction * n)
     if n_test < 1 or n_test >= n:
         raise ValueError(
@@ -332,13 +318,15 @@ def predict_proba(m: RetentionModel, engagement: float, reward: float) -> float:
     if not (math.isfinite(engagement) and math.isfinite(reward)):
         raise ValueError("engagement and reward must be finite")
     e, r = m.scale(engagement, reward)
-    return sigmoid(m.w_engagement * e + m.w_reward * r + m.bias)
+    z = m.w_engagement * e + m.w_reward * r + m.bias
+    if not math.isfinite(z):
+        raise ValueError(f"engagement {engagement!r} and reward {reward!r} overflow the model's logit")
+    return _sigmoid(z)
 
 
 def predict_label(m: RetentionModel, engagement: float, reward: float, threshold: float = 0.5) -> int:
     """Hard 0/1 prediction; probabilities at or above the threshold map to 1."""
-    if not (math.isfinite(threshold) and 0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    UNIT_OPEN.check("threshold", threshold)
     return 1 if predict_proba(m, engagement, reward) >= threshold else 0
 
 

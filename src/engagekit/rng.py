@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._spec import INTEGER, Spec
+
 MAX_SEED = 2**64 - 1
+SEED = Spec(INTEGER, ge=0, le=MAX_SEED)
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return a fresh PCG64-backed generator for a 64-bit unsigned seed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
+    SEED.check("seed", int(seed) if isinstance(seed, np.integer) else seed)
     return np.random.Generator(np.random.PCG64(seed))

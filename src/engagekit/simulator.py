@@ -42,9 +42,10 @@ validate at construction, so one timeline engine, :func:`_advance`, runs all
 steps over plain floats, inlines the model kernels with their operation
 order (and math.exp) unchanged, and builds one TimelinePoint per step and no
 intermediate UserState. Inside the loop it keeps only the checks on values
-that can leave the float range, raising the same messages as the kernels
-and UserState: an overflowing logit (``z must be finite, got inf``), reward
-(``r must be finite, got inf``) or cumulative reward.
+that can leave the float range, raising the messages the kernels raise and
+the object-per-step code raised: an overflowing logit (``z must be finite,
+got inf``), reward (``r must be finite, got inf``) or cumulative reward
+(``cumulative_reward must be >= 0, got inf``).
 """
 
 from __future__ import annotations
@@ -54,17 +55,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._spec import (
+    AT_LEAST_ONE,
+    COUNT,
+    NON_NEGATIVE,
+    POSITIVE_COUNT,
+    UNIT,
+    UNIT_BELOW_ONE,
+    UNIT_OPEN,
+    check_fields,
+)
 from .models import (
     DiminishingRewardParams,
     EngagementDecayParams,
-    FlowParams,
     LogisticDifficultyParams,
     RetentionParams,
-    RewardFrequencyParams,
     _finite,
     _sigmoid,
 )
-from .rng import make_rng
+from .rng import SEED, make_rng
 
 __all__ = [
     "UserState",
@@ -91,28 +100,14 @@ class UserState:
     step's granted reward once and is then reset to 1.
     """
 
-    engagement: float
-    skill: float
-    cumulative_reward: float = 0.0
-    interactions: int = 0
-    time: int = 0
-    pending_reward_multiplier: float = 1.0
+    engagement: float = UNIT.field()
+    skill: float = UNIT.field()
+    cumulative_reward: float = NON_NEGATIVE.field(0.0)
+    interactions: int = COUNT.field(0)
+    time: int = COUNT.field(0)
+    pending_reward_multiplier: float = AT_LEAST_ONE.field(1.0)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.engagement) and 0.0 <= self.engagement <= 1.0):
-            raise ValueError(f"engagement must be in [0, 1], got {self.engagement}")
-        if not (math.isfinite(self.skill) and 0.0 <= self.skill <= 1.0):
-            raise ValueError(f"skill must be in [0, 1], got {self.skill}")
-        if not (math.isfinite(self.cumulative_reward) and self.cumulative_reward >= 0.0):
-            raise ValueError(f"cumulative_reward must be >= 0, got {self.cumulative_reward}")
-        for name in ("interactions", "time"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        if not (math.isfinite(self.pending_reward_multiplier) and self.pending_reward_multiplier >= 1.0):
-            raise ValueError(
-                f"pending_reward_multiplier must be >= 1, got {self.pending_reward_multiplier}"
-            )
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,42 +139,26 @@ class TimelinePoint:
 
 @dataclass(frozen=True)
 class TimelineConfig:
-    """Everything a timeline run needs: the full model-parameter profile,
-    the step dynamics knobs, and the seed.
+    """Everything a timeline run needs: the model parameters the step
+    dynamics read, the dynamics knobs, and the seed.
 
     intervention_threshold = 0 disables at-risk detection entirely; any
     positive threshold must lie in (0, 1). skill_gain = 0 and
     engagement_boost = 0 are valid "off" settings for their dynamics.
     """
 
-    steps: int
-    reward_frequency: RewardFrequencyParams
+    steps: int = POSITIVE_COUNT.field()
     diminishing: DiminishingRewardParams
     difficulty: LogisticDifficultyParams
-    flow: FlowParams
     retention: RetentionParams
     decay: EngagementDecayParams
-    skill_gain: float
-    engagement_boost: float
-    intervention_threshold: float
-    intervention_reward_multiplier: float
-    seed: int
+    skill_gain: float = UNIT_BELOW_ONE.field()
+    engagement_boost: float = NON_NEGATIVE.field()
+    intervention_threshold: float = UNIT_BELOW_ONE.field()
+    intervention_reward_multiplier: float = AT_LEAST_ONE.field()
+    seed: int = SEED.field()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 1):
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        if not (math.isfinite(self.skill_gain) and 0.0 <= self.skill_gain < 1.0):
-            raise ValueError(f"skill_gain must be in [0, 1), got {self.skill_gain}")
-        if not (math.isfinite(self.engagement_boost) and self.engagement_boost >= 0.0):
-            raise ValueError(f"engagement_boost must be >= 0, got {self.engagement_boost}")
-        if not (math.isfinite(self.intervention_threshold) and 0.0 <= self.intervention_threshold < 1.0):
-            raise ValueError(
-                f"intervention_threshold must be 0 (off) or in (0, 1), got {self.intervention_threshold}"
-            )
-        if not (math.isfinite(self.intervention_reward_multiplier) and self.intervention_reward_multiplier >= 1.0):
-            raise ValueError(
-                f"intervention_reward_multiplier must be >= 1, got {self.intervention_reward_multiplier}"
-            )
+    __post_init__ = check_fields
 
     @property
     def interventions_enabled(self) -> bool:
@@ -193,8 +172,7 @@ def simulate_session(num_tasks: int, seed: int) -> list[SessionStep]:
     session kernel, success with probability 1 - difficulty. Deterministic
     given the seed.
     """
-    if isinstance(num_tasks, bool) or not (isinstance(num_tasks, int) and num_tasks >= 1):
-        raise ValueError(f"num_tasks must be a positive integer, got {num_tasks!r}")
+    POSITIVE_COUNT.check("num_tasks", num_tasks)
     steps = []
     for task, (engagement, reward, u) in enumerate(make_rng(seed).random((num_tasks, 3)).tolist(), 1):
         reward *= 10.0
@@ -277,8 +255,7 @@ def step_user(
 def detect_at_risk(point: TimelinePoint, threshold: float) -> bool:
     """True when the point's retention probability falls strictly below the
     threshold. The threshold must lie in the open interval (0, 1)."""
-    if not (math.isfinite(threshold) and 0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    UNIT_OPEN.check("threshold", threshold)
     return point.retention_prob < threshold
 
 

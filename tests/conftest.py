@@ -5,10 +5,8 @@ import pytest
 from engagekit.models import (
     DiminishingRewardParams,
     EngagementDecayParams,
-    FlowParams,
     LogisticDifficultyParams,
     RetentionParams,
-    RewardFrequencyParams,
 )
 from engagekit.simulator import TimelineConfig, UserState
 
@@ -17,10 +15,8 @@ def make_timeline_config(**overrides) -> TimelineConfig:
     """Default-profile timeline config with keyword overrides."""
     base = dict(
         steps=200,
-        reward_frequency=RewardFrequencyParams(r0=1.0, alpha=0.05),
         diminishing=DiminishingRewardParams(v0=10.0, beta=0.3),
         difficulty=LogisticDifficultyParams(d_max=1.0, gamma=1.0, x0=0.5),
-        flow=FlowParams(k=0.1),
         retention=RetentionParams(a=0.5, b=0.5, c=1.5),
         decay=EngagementDecayParams(e0=0.9, lam=0.1),
         skill_gain=0.02,

@@ -1,6 +1,7 @@
 """Tests for JSON configuration loading/validation and CSV persistence."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,8 +11,8 @@ from engagekit.config import (
     load_config,
     parse_config,
 )
-from engagekit.regression import ConfusionMatrix, generate_synthetic_dataset
-from engagekit.simulator import UserState, run_timeline, simulate_session
+from engagekit.regression import ConfusionMatrix, FitConfig, generate_synthetic_dataset
+from engagekit.simulator import TimelineConfig, UserState, run_timeline, simulate_session
 from engagekit.storage import (
     DATASET_HEADER,
     SESSION_HEADER,
@@ -359,3 +360,22 @@ def test_violation_order_is_pinned():
         "seeds.fit: missing required field",
         "seeds.sim: must be >= 0, got -1",
     ]
+
+
+@pytest.mark.parametrize(
+    "path, key, value, expected", [case for case in _field_cases() if case.values[2] is not MISSING]
+)
+def test_records_reject_what_the_loader_rejects(path, key, value, expected):
+    record = load_config(default_config_path())
+    for name in path.split("."):
+        record = getattr(record, name)
+    name = "lam" if key == "lambda" else key
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        replace(record, **{name: value})
+
+
+def test_fields_nothing_reads_stay_in_the_profile_only():
+    cfg = load_config(default_config_path())
+    assert (cfg.models.reward_frequency.r0, cfg.models.flow.k, cfg.seeds.fit) == (1.0, 0.1, 7)
+    assert {"reward_frequency", "flow"}.isdisjoint(f.name for f in fields(TimelineConfig))
+    assert "seed" not in {f.name for f in fields(FitConfig)}

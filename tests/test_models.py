@@ -281,6 +281,7 @@ def test_case_difficulty_rejects_non_finite():
         lambda: EngagementDecayParams(e0=1.5, lam=0.1),
         lambda: EngagementDecayParams(e0=-0.1, lam=0.1),
         lambda: EngagementDecayParams(e0=0.5, lam=-0.1),
+        lambda: EngagementDecayParams(e0=True, lam=0.1),
     ],
 )
 def test_invalid_params_rejected(factory):

@@ -71,6 +71,11 @@ def test_dataset_rejects_bad_labels():
         Dataset([0.1], [1.0], [2])
 
 
+def test_dataset_checks_labels_before_casting():
+    with pytest.raises(ValueError, match="^retention labels must be 0 or 1$"):
+        Dataset([0.1, 0.2], [1.0, 2.0], [0.7, 1.0])
+
+
 def test_dataset_rejects_non_finite_features():
     with pytest.raises(ValueError):
         Dataset([math.inf], [1.0], [0])
@@ -293,6 +298,12 @@ def test_predict_proba_positive_region(case_pipeline):
 def test_predict_proba_rejects_non_finite():
     with pytest.raises(ValueError):
         predict_proba(unit_scaler_model(), math.nan, 1.0)
+
+
+def test_predict_proba_overflow_names_the_input(case_pipeline):
+    _, _, model = case_pipeline
+    with pytest.raises(ValueError, match=r"^engagement 0\.5 and reward 1e\+308 "):
+        predict_proba(model, 0.5, 1e308)
 
 
 def test_predict_label_tie_goes_to_one():

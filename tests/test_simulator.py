@@ -14,6 +14,7 @@ from engagekit.models import (
     RetentionParams,
     case_difficulty,
 )
+from engagekit.regression import ConfusionMatrix, FitConfig, generate_synthetic_dataset
 from engagekit.rng import make_rng
 from engagekit.simulator import (
     SessionStep,
@@ -293,8 +294,11 @@ def test_skill_gain_zero_is_allowed():
         lambda: UserState(engagement=0.5, skill=0.5, time=True),
         lambda: make_timeline_config(steps=True),
         lambda: simulate_session(True, 0),
+        lambda: FitConfig(max_epochs=True),
+        lambda: ConfusionMatrix(tn=True, fp=0, fn=0, tp=0),
+        lambda: generate_synthetic_dataset(True, 0),
     ],
-    ids=["interactions", "time", "steps", "num_tasks"],
+    ids=["interactions", "time", "steps", "num_tasks", "max_epochs", "confusion", "n"],
 )
 def test_bool_counts_rejected(make):
     with pytest.raises(ValueError, match=r"must be a (non-negative|positive) integer, got True"):
