@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spec import COUNT, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, check_fields
+from ._spec import COUNT, FINITE, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, check_fields
 from .models import _sigmoid
 from .rng import make_rng
 
@@ -144,18 +144,15 @@ class RetentionModel:
     many gradient updates the fit applied.
     """
 
-    w_engagement: float
-    w_reward: float
-    bias: float
+    w_engagement: float = FINITE.field()
+    w_reward: float = FINITE.field()
+    bias: float = FINITE.field()
     feature_means: tuple[float, float]
     feature_stds: tuple[float, float]
-    epochs_used: int = 0
+    epochs_used: int = COUNT.field(0)
 
     def __post_init__(self) -> None:
-        for name in ("w_engagement", "w_reward", "bias"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_fields(self)
         if len(self.feature_means) != 2 or len(self.feature_stds) != 2:
             raise ValueError("scaler must carry exactly two (mean, std) pairs")
         if not all(math.isfinite(m) for m in self.feature_means):

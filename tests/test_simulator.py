@@ -14,7 +14,7 @@ from engagekit.models import (
     RetentionParams,
     case_difficulty,
 )
-from engagekit.regression import ConfusionMatrix, FitConfig, generate_synthetic_dataset
+from engagekit.regression import ConfusionMatrix, FitConfig, RetentionModel, generate_synthetic_dataset
 from engagekit.rng import make_rng
 from engagekit.simulator import (
     SessionStep,
@@ -297,8 +297,9 @@ def test_skill_gain_zero_is_allowed():
         lambda: FitConfig(max_epochs=True),
         lambda: ConfusionMatrix(tn=True, fp=0, fn=0, tp=0),
         lambda: generate_synthetic_dataset(True, 0),
+        lambda: RetentionModel(0.0, 0.0, 0.0, (0.0, 0.0), (1.0, 1.0), epochs_used=True),
     ],
-    ids=["interactions", "time", "steps", "num_tasks", "max_epochs", "confusion", "n"],
+    ids=["interactions", "time", "steps", "num_tasks", "max_epochs", "confusion", "n", "epochs_used"],
 )
 def test_bool_counts_rejected(make):
     with pytest.raises(ValueError, match=r"must be a (non-negative|positive) integer, got True"):
