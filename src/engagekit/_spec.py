@@ -66,7 +66,11 @@ class Spec:
             # float and int first: the Real ABC check is slow.
             if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
                 return f"must be a number, got {value!r}"
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                # An int of 309+ digits: exact in Python, but no float holds it.
+                return "must be finite, got an integer too large for a float"
             if not math.isfinite(value):
                 return f"must be finite, got {value!r}"
         elif self.kind == INTEGER:

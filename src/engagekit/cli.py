@@ -25,7 +25,7 @@ from .config import CONFIG_ENV_VAR, ConfigError, default_config_path, load_confi
 from .regression import FitError, generate_synthetic_dataset
 from .simulator import run_timeline, simulate_session
 from .storage import (
-    write_confusion_csv,
+    write_case_study_files,
     write_dataset_csv,
     write_session_csv,
     write_timeline_csv,
@@ -54,9 +54,7 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
     cfg = load_config(_resolve_config_path(args.config))
     report = run_case_study(cfg)
     payload = json.dumps(report.to_dict(), indent=2)
-    with open(cfg.output.report_json, "w", encoding="utf-8") as handle:
-        handle.write(payload + "\n")
-    write_confusion_csv(cfg.output.confusion_csv, report.confusion)
+    write_case_study_files(cfg.output.report_json, payload + "\n", cfg.output.confusion_csv, report.confusion)
     print(payload)
     return 0
 

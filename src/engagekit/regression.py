@@ -223,16 +223,24 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
     return SplitPair(d.subset(train_idx), d.subset(test_idx), train_idx, test_idx)
 
 
-def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
-    # Vectorized counterpart of models.sigmoid (same branch-on-sign form);
-    # scalar clamping to the open interval is not needed under the log-eps
-    # clamp applied by the loss.
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid_vec(z: np.ndarray, out: np.ndarray, e: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Logistic of z, written into out and returned; allocates nothing.
+
+    Branch-free: with e = exp(-|z|) the result is 1 / (1 + e) where z >= 0
+    and e / (1 + e) elsewhere. On every input these are the doubles of the
+    masked branch-on-sign form that models.sigmoid writes with math.exp,
+    1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)), computed with np.exp: -|z|
+    is -z for z >= 0 and z otherwise. e (float64) and mask (bool) are
+    caller-supplied scratch buffers of z's shape; out may be z itself.
+    Scalar clamping to the open interval is not needed under the log-eps
+    clamp the loss applies.
+    """
+    np.greater_equal(z, 0.0, out=mask)
+    np.copysign(z, -1.0, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=out)
+    np.copyto(e, 1.0, where=mask)
+    return np.divide(e, out, out=out)
 
 
 def _scaled_design(m: RetentionModel, d: Dataset) -> np.ndarray:
@@ -250,7 +258,7 @@ def loss_and_gradient(m: RetentionModel, d: Dataset) -> tuple[float, np.ndarray]
     X = _scaled_design(m, d)
     y = d.retention.astype(np.float64)
     z = X @ np.array([m.w_engagement, m.w_reward]) + m.bias
-    p = _sigmoid_vec(z)
+    p = _sigmoid_vec(z, np.empty_like(z), np.empty_like(z), np.empty(z.shape, dtype=bool))
     pc = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
     loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
     resid = p - y
@@ -270,6 +278,11 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
     updates run until the gradient norm drops below cfg.convergence_tol or
     cfg.max_epochs is reached.
 
+    An epoch allocates nothing: it runs through buffers allocated once per
+    fit, with the branch-free :func:`_sigmoid_vec` writing into them. The
+    iterates are the same doubles as those of the allocating form
+    ``p = sigmoid(X @ w + b); g_w = X.T @ (p - y) / n; g_b = mean(p - y)``.
+
     Raises:
         FitError: if only one class is present or a feature is constant.
     """
@@ -283,18 +296,31 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
         raise FitError("a feature is constant; standardization is undefined")
     X = (raw - means) / stds
 
+    # z holds X @ w + b, then the probabilities, then the residuals p - y.
+    # The same matmul calls as the allocating form, with out= added;
+    # np.add.reduce(z) / n is the double z.mean() returns, without its
+    # overhead.
+    n = len(y)
+    Xt = X.T
+    z, e = np.empty(n), np.empty(n)
+    mask = np.empty(n, dtype=bool)
+    g_w = np.empty(2)
     w = np.zeros(2)
     b = 0.0
     lr = cfg.learning_rate
     epochs_used = 0
     for _ in range(cfg.max_epochs):
-        p = _sigmoid_vec(X @ w + b)
-        resid = p - y
-        g_w = X.T @ resid / len(y)
-        g_b = float(resid.mean())
+        np.matmul(X, w, out=z)
+        z += b
+        _sigmoid_vec(z, z, e, mask)
+        z -= y
+        np.matmul(Xt, z, out=g_w)
+        g_w /= n
+        g_b = float(np.add.reduce(z) / n)
         if math.sqrt(g_w @ g_w + g_b * g_b) < cfg.convergence_tol:
             break
-        w -= lr * g_w
+        g_w *= lr
+        w -= g_w
         b -= lr * g_b
         epochs_used += 1
 

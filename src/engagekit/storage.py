@@ -4,11 +4,20 @@ Floats are serialized with 17 significant digits, which round-trips every
 64-bit value exactly; booleans are written as 0/1 so the files feed any
 plotting tool directly. Writers emit LF line endings unconditionally, making
 repeated runs byte-identical across platforms.
+
+Every writer is atomic: it writes a temp file in the target's directory and
+moves it over the target with ``os.replace``, so the target holds either its
+previous bytes or all of the new ones, and a failure leaves no temp file
+behind. :func:`write_case_study_files` does the same for the case-study
+report and its confusion matrix together: both change or neither does.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
+import os
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .regression import ConfusionMatrix, Dataset
@@ -23,6 +32,7 @@ __all__ = [
     "write_session_csv",
     "write_timeline_csv",
     "write_confusion_csv",
+    "write_case_study_files",
 ]
 
 DATASET_HEADER = ["engagement", "reward", "retention"]
@@ -41,8 +51,54 @@ def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
+@contextmanager
+def _staged_files():
+    """Write several files so that they all change or none does.
+
+    Inside the block, ``stage(path)`` returns a text handle (UTF-8, no
+    newline translation) on a new temp file beside path. When the block ends
+    without error each temp file replaces its path with ``os.replace``, in
+    staging order; after an error in the block, or in closing a handle,
+    every temp file is removed and no path changes. Staging a path that is
+    a directory raises IsADirectoryError at once, so that the renames, the
+    only step left that could fail part way, do not fail on it.
+    """
+    staged: list[tuple[str, str]] = []
+    handles = ExitStack()
+
+    def stage(path: str | Path):
+        path = os.fspath(path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+        # Mode "x" creates the file as open() would (0o666 less the umask),
+        # so the replaced file keeps the usual permissions.
+        handle = handles.enter_context(open(tmp, "x", encoding="utf-8", newline=""))
+        staged.append((tmp, path))
+        return handle
+
+    try:
+        with handles:
+            yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
+
+
+@contextmanager
+def _replacing(path: str | Path):
+    """A text handle whose bytes replace path in one step on success."""
+    with _staged_files() as stage:
+        yield stage(path)
+
+
 def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _replacing(path) as handle:
         out = _writer(handle)
         out.writerow(DATASET_HEADER)
         for e, r, y in zip(dataset.engagement, dataset.reward, dataset.retention):
@@ -75,7 +131,7 @@ def read_dataset_csv(path: str | Path) -> Dataset:
 
 
 def write_session_csv(path: str | Path, steps: list[SessionStep]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _replacing(path) as handle:
         out = _writer(handle)
         out.writerow(SESSION_HEADER)
         for s in steps:
@@ -84,7 +140,7 @@ def write_session_csv(path: str | Path, steps: list[SessionStep]) -> None:
 
 
 def write_timeline_csv(path: str | Path, points: list[TimelinePoint]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _replacing(path) as handle:
         out = _writer(handle)
         out.writerow(TIMELINE_HEADER)
         for p in points:
@@ -95,8 +151,21 @@ def write_timeline_csv(path: str | Path, points: list[TimelinePoint]) -> None:
 
 def write_confusion_csv(path: str | Path, cm: ConfusionMatrix) -> None:
     """2x2 layout matching the matrix convention: rows true, columns predicted."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["", "predicted_0", "predicted_1"])
-        out.writerow(["true_0", cm.tn, cm.fp])
-        out.writerow(["true_1", cm.fn, cm.tp])
+    with _replacing(path) as handle:
+        _write_confusion(handle, cm)
+
+
+def write_case_study_files(report_path: str | Path, report_text: str,
+                           confusion_path: str | Path, cm: ConfusionMatrix) -> None:
+    """Write the report text and the confusion CSV so that both files change
+    or, on any error, neither does."""
+    with _staged_files() as stage:
+        stage(report_path).write(report_text)
+        _write_confusion(stage(confusion_path), cm)
+
+
+def _write_confusion(handle, cm: ConfusionMatrix) -> None:
+    out = _writer(handle)
+    out.writerow(["", "predicted_0", "predicted_1"])
+    out.writerow(["true_0", cm.tn, cm.fp])
+    out.writerow(["true_1", cm.fn, cm.tp])

@@ -111,6 +111,40 @@ def test_case_study_invalid_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_case_study_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, **{"fit.learning_rate": 10**400})
+    assert main(["case-study", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: fit.learning_rate: must be finite, got an integer too large for a float\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_case_study_bad_confusion_path_writes_neither_file(tmp_path, capsys):
+    config = write_config(tmp_path)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["output"]["confusion_csv"] = str(tmp_path / "missing_dir" / "confusion.csv")
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["case-study", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_case_study_failure_keeps_previous_files(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["case-study", "--config", str(config)]) == 0
+    report, cm = (tmp_path / "report.json").read_bytes(), (tmp_path / "confusion.csv").read_bytes()
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["case_study"]["num_samples"] = 500
+    raw["output"]["confusion_csv"] = str(tmp_path)  # a directory
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["case-study", "--config", str(config)]) == 1
+    assert (tmp_path / "report.json").read_bytes() == report
+    assert (tmp_path / "confusion.csv").read_bytes() == cm
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "confusion.csv", "report.json"]
+
+
 # --- simulate-session --------------------------------------------------------
 
 def test_simulate_session_prints_task_lines(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Tests for JSON configuration loading/validation and CSV persistence."""
 
 import json
+import re
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +20,7 @@ from engagekit.storage import (
     SESSION_HEADER,
     TIMELINE_HEADER,
     read_dataset_csv,
+    write_case_study_files,
     write_confusion_csv,
     write_dataset_csv,
     write_session_csv,
@@ -200,6 +203,54 @@ def test_confusion_csv_layout(tmp_path):
     )
 
 
+# Each writer replaces its file in one step: a failure partway through keeps
+# the file's previous bytes and leaves no temp file beside it.
+FAILING_WRITES = {
+    "dataset": lambda path: write_dataset_csv(
+        path, SimpleNamespace(engagement=[0.1, 0.2], reward=[1.0, 2.0], retention=[1, "x"])),
+    "session": lambda path: write_session_csv(path, [*simulate_session(3, seed=0), None]),
+    "timeline": lambda path: write_timeline_csv(
+        path, [*run_timeline(UserState(engagement=0.9, skill=0.0), make_timeline_config(steps=3)), None]),
+    "confusion": lambda path: write_confusion_csv(path, None),
+}
+
+
+@pytest.mark.parametrize("kind", FAILING_WRITES)
+def test_failed_write_keeps_previous_file(tmp_path, kind):
+    path = tmp_path / "out.csv"
+    path.write_text("previous\n", encoding="utf-8")
+    with pytest.raises((AttributeError, TypeError, ValueError)):
+        FAILING_WRITES[kind](path)
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_onto_directory_fails_before_writing(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        write_confusion_csv(tmp_path, ConfusionMatrix(tn=1, fp=0, fn=0, tp=1))
+    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.parent.glob(f".{tmp_path.name}*")) == []
+
+
+def test_case_study_files_land_together_or_not_at_all(tmp_path):
+    report, cm_path = tmp_path / "report.json", tmp_path / "cm.csv"
+    cm = ConfusionMatrix(tn=3, fp=0, fn=1, tp=2)
+    write_case_study_files(report, "{}\n", cm_path, cm)
+    assert report.read_text(encoding="utf-8") == "{}\n"
+    assert cm_path.read_text(encoding="utf-8") == ",predicted_0,predicted_1\ntrue_0,3,0\ntrue_1,1,2\n"
+    previous = report.read_bytes(), cm_path.read_bytes()
+    failures = [
+        (AttributeError, cm_path, None),  # the CSV fails after both files are staged
+        (FileNotFoundError, tmp_path / "missing_dir" / "cm.csv", cm),
+        (IsADirectoryError, tmp_path, cm),
+    ]
+    for error, path, matrix in failures:
+        with pytest.raises(error):
+            write_case_study_files(report, "[]\n", path, matrix)
+        assert (report.read_bytes(), cm_path.read_bytes()) == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cm.csv", "report.json"]
+
+
 # --- pinned loader messages --------------------------------------------------
 #
 # The exact ConfigError.violations list for every way a field of the default
@@ -372,6 +423,37 @@ def test_records_reject_what_the_loader_rejects(path, key, value, expected):
     name = "lam" if key == "lambda" else key
     with pytest.raises(ValueError, match=f"^{name} must be "):
         replace(record, **{name: value})
+
+
+# A JSON integer literal of 309 or more digits is exact in Python but has no
+# float; every number field must report it, not raise OverflowError.
+HUGE = 10**400
+NUMBER_FIELDS = [(path, key) for path, key, kind, _ in FIELD_BOUNDS if kind == "number"]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("path, key", NUMBER_FIELDS, ids=[f"{p}.{k}" for p, k in NUMBER_FIELDS])
+def test_integer_too_large_for_a_float_is_a_violation(path, key, sign):
+    raw = default_raw()
+    _section_of(raw, path)[key] = sign * HUGE
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [f"{path}.{key}: must be finite, got an integer too large for a float"]
+    record = load_config(default_config_path())
+    for name in path.split("."):
+        record = getattr(record, name)
+    name = "lam" if key == "lambda" else key
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer too large for a float$"):
+        replace(record, **{name: sign * HUGE})
+
+
+def test_integer_too_large_for_a_float_from_a_file(tmp_path):
+    text = default_config_path().read_text(encoding="utf-8")
+    path = tmp_path / "huge.json"
+    path.write_text(re.sub(r'("k":\s*)[0-9.]+', r"\g<1>1" + "0" * 400, text, count=1), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == ["models.flow.k: must be finite, got an integer too large for a float"]
 
 
 def test_fields_nothing_reads_stay_in_the_profile_only():

@@ -1,0 +1,191 @@
+"""Differential tests: the gradient-descent fit against its allocating form.
+
+The reference is the original epoch loop, kept here as it was: a masked,
+branch-on-sign sigmoid that allocates its temporaries, and a loop that builds
+z, p, the residuals and the gradient afresh each epoch. fit_logistic runs
+every epoch through buffers it allocates once and a branch-free sigmoid, so
+these tests pin the arithmetic: the fitted models must be equal (==), not
+close, and the kernel must reproduce the masked form bit for bit.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from engagekit.regression import (
+    Dataset,
+    FitConfig,
+    RetentionModel,
+    _sigmoid_vec,
+    fit_logistic,
+    generate_synthetic_dataset,
+    loss_and_gradient,
+    train_test_split,
+)
+
+
+def reference_sigmoid_vec(z):
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_fit(train, cfg):
+    y = train.retention.astype(np.float64)
+    raw = train.features()
+    means = raw.mean(axis=0)
+    stds = raw.std(axis=0)
+    X = (raw - means) / stds
+    w = np.zeros(2)
+    b = 0.0
+    epochs_used = 0
+    for _ in range(cfg.max_epochs):
+        p = reference_sigmoid_vec(X @ w + b)
+        resid = p - y
+        g_w = X.T @ resid / len(y)
+        g_b = float(resid.mean())
+        if math.sqrt(g_w @ g_w + g_b * g_b) < cfg.convergence_tol:
+            break
+        w -= cfg.learning_rate * g_w
+        b -= cfg.learning_rate * g_b
+        epochs_used += 1
+    return RetentionModel(
+        w_engagement=float(w[0]),
+        w_reward=float(w[1]),
+        bias=b,
+        feature_means=(float(means[0]), float(means[1])),
+        feature_stds=(float(stds[0]), float(stds[1])),
+        epochs_used=epochs_used,
+    )
+
+
+def reference_loss_and_gradient(m, d):
+    e, r = m.scale(d.engagement, d.reward)
+    X = np.column_stack((e, r))
+    y = d.retention.astype(np.float64)
+    z = X @ np.array([m.w_engagement, m.w_reward]) + m.bias
+    p = reference_sigmoid_vec(z)
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+    resid = p - y
+    grad = np.array([
+        float(np.mean(resid * X[:, 0])),
+        float(np.mean(resid * X[:, 1])),
+        float(np.mean(resid)),
+    ])
+    return loss, grad
+
+
+def kernel(z):
+    return _sigmoid_vec(z, np.empty_like(z), np.empty_like(z), np.empty(z.shape, dtype=bool))
+
+
+def same_bits(a, b):
+    # array_equal alone treats -0.0 == 0.0; the bit patterns must match too.
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def datasets(draw):
+    """2-2000 rows, both classes present, labels either from a linear rule
+    (separable, so the fit never converges) or drawn from a logistic model
+    (overlapping classes, so a loose tolerance can stop it early)."""
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0, 1e3]))
+    engagement = rng.random(n)
+    reward = rng.random(n) * scale
+    score = (engagement - 0.5) + (reward / scale - 0.5) * draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        labels = (score > np.median(score)).astype(np.int64)
+    else:
+        labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-4.0 * score))).astype(np.int64)
+    labels[:2] = (0, 1)
+    return Dataset(engagement, reward, labels)
+
+
+fit_configs = st.builds(
+    FitConfig,
+    learning_rate=st.floats(0.01, 3.0),
+    max_epochs=st.integers(1, 400),
+    convergence_tol=st.one_of(st.floats(1e-9, 1e-4), st.floats(1e-3, 0.5)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), fit_configs)
+def test_fit_equals_reference(train, cfg):
+    assert fit_logistic(train, cfg) == reference_fit(train, cfg)
+
+
+def test_loose_tolerances_stop_early_and_agree():
+    # The hypothesis runs above cover early stops only by chance; pin a few.
+    train = Dataset([0.1, 0.4, 0.35, 0.8, 0.6, 0.2], [1.0, 3.0, 2.0, 9.0, 4.0, 5.0], [0, 0, 1, 1, 1, 0])
+    stops = set()
+    for tol in (0.5, 0.1, 0.05, 0.02, 1e-3, 1e-9):
+        cfg = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=tol)
+        model = fit_logistic(train, cfg)
+        assert model == reference_fit(train, cfg)
+        stops.add(model.epochs_used)
+    assert {0, 400} < stops and len(stops) >= 4
+
+
+def test_default_fit_at_8000_rows_equals_reference():
+    data = generate_synthetic_dataset(8000, seed=11)
+    train = train_test_split(data, 0.2, seed=12).train
+    model = fit_logistic(train, FitConfig())
+    assert model == reference_fit(train, FitConfig())
+    assert model.epochs_used == 5000
+
+
+WIDE = np.array([
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 36.0, -36.0, 37.0, -37.0, 709.0, -709.0,
+    709.8, -709.8, 745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 1e300, -1e300, 1e308, -1e308,
+    np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny, -np.finfo(float).tiny,
+    5e-324, -5e-324, 1e-300, -1e-300, np.inf, -np.inf,
+])
+
+
+def test_kernel_matches_masked_form_on_wide_inputs():
+    rng = np.random.default_rng(5)
+    z = np.concatenate([WIDE] + [rng.standard_normal(100_000) * k for k in (1.0, 40.0, 800.0)])
+    assert same_bits(kernel(z), reference_sigmoid_vec(z))
+
+
+def test_kernel_signed_zero_inputs():
+    z = np.array([0.0, -0.0])
+    assert same_bits(kernel(z), np.array([0.5, 0.5]))
+    assert same_bits(kernel(np.array([-745.2, -1e308, -np.inf])), np.zeros(3))
+
+
+def test_kernel_writes_into_out_and_may_overwrite_z():
+    z = np.linspace(-50.0, 50.0, 1001)
+    expected = reference_sigmoid_vec(z)
+    out = np.empty_like(z)
+    assert _sigmoid_vec(z, out, np.empty_like(z), np.empty(z.shape, dtype=bool)) is out
+    assert same_bits(out, expected)
+    assert _sigmoid_vec(z, z, np.empty_like(z), np.empty(z.shape, dtype=bool)) is z
+    assert same_bits(z, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 300), elements=st.floats(allow_nan=False)))
+def test_kernel_matches_masked_form(z):
+    assert same_bits(kernel(z), reference_sigmoid_vec(z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+def test_loss_and_gradient_equals_reference(d, weights):
+    fitted = fit_logistic(d, FitConfig(max_epochs=50))
+    for m in (fitted, RetentionModel(*weights, fitted.feature_means, fitted.feature_stds)):
+        loss, grad = loss_and_gradient(m, d)
+        ref_loss, ref_grad = reference_loss_and_gradient(m, d)
+        assert loss == ref_loss
+        assert same_bits(grad, ref_grad)
