@@ -62,12 +62,12 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
 def _cmd_simulate_session(args: argparse.Namespace) -> int:
     steps = simulate_session(args.tasks, args.seed)
     write_session_csv(args.out, steps)
-    for s in steps:
-        print(
-            f"Task {s.task_index}: Engagement: {s.engagement:.2f}, "
-            f"Reward: {s.reward:.2f}, Difficulty: {s.difficulty:.2f}, "
-            f"Success: {s.success}"
-        )
+    sys.stdout.writelines(
+        f"Task {s.task_index}: Engagement: {s.engagement:.2f}, "
+        f"Reward: {s.reward:.2f}, Difficulty: {s.difficulty:.2f}, "
+        f"Success: {s.success}\n"
+        for s in steps
+    )
     return 0
 
 

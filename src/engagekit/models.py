@@ -48,7 +48,11 @@ _P_CEIL = math.nextafter(1.0, 0.0)
 
 
 def _finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # An int of 309+ digits: exact in Python, but no float holds it.
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

@@ -46,12 +46,20 @@ that can leave the float range, raising the messages the kernels raise and
 the object-per-step code raised: an overflowing logit (``z must be finite,
 got inf``), reward (``r must be finite, got inf``) or cumulative reward
 (``cumulative_reward must be >= 0, got inf``).
+
+Both engines build each TimelinePoint and SessionStep as a private "open
+twin" (see :func:`_open_twin`: the same slots, plain attribute stores) and
+then retype it in place with ``obj.__class__ = TimelinePoint`` (or
+SessionStep). A frozen dataclass's ``__init__`` sets each field through
+``object.__setattr__``, which was the largest cost left per step; what the
+engines return is still an ordinary frozen record, equal to and
+indistinguishable from one built by the public constructor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -137,6 +145,27 @@ class TimelinePoint:
     intervened: bool
 
 
+def _open_twin(record: type) -> type:
+    """A private mutable class with record's slots in record's field order.
+
+    Its ``__init__`` stores each field as a plain attribute, where a frozen
+    dataclass's goes through ``object.__setattr__`` field by field. Because
+    the slot layouts are identical, CPython lets an instance of the twin be
+    retyped in place with ``obj.__class__ = record``; what results is an
+    ordinary frozen record (type, ``==``, hash, repr, replace, copy, pickle
+    and FrozenInstanceError on assignment all as if built by record(...)).
+    """
+    return make_dataclass(
+        f"_Open{record.__name__}",
+        [(f.name, f.type) for f in fields(record)],
+        slots=True, eq=False, repr=False,
+    )
+
+
+_OpenSessionStep = _open_twin(SessionStep)
+_OpenTimelinePoint = _open_twin(TimelinePoint)
+
+
 @dataclass(frozen=True)
 class TimelineConfig:
     """Everything a timeline run needs: the model parameters the step
@@ -174,10 +203,13 @@ def simulate_session(num_tasks: int, seed: int) -> list[SessionStep]:
     """
     POSITIVE_COUNT.check("num_tasks", num_tasks)
     steps = []
+    append, open_step, record = steps.append, _OpenSessionStep, SessionStep
     for task, (engagement, reward, u) in enumerate(make_rng(seed).random((num_tasks, 3)).tolist(), 1):
         reward *= 10.0
         difficulty = _sigmoid(engagement + reward - 1.0)  # case_difficulty; both terms are finite
-        steps.append(SessionStep(task, engagement, reward, difficulty, u < 1.0 - difficulty))
+        step = open_step(task, engagement, reward, difficulty, u < 1.0 - difficulty)
+        step.__class__ = record  # retype to the frozen record (see _open_twin)
+        append(step)
     return steps
 
 
@@ -200,7 +232,7 @@ def _advance(
     cumulative, pending = float(state.cumulative_reward), float(state.pending_reward_multiplier)
     n, t = state.interactions, state.time
     points = []
-    append = points.append
+    append, open_point, record = points.append, _OpenTimelinePoint, TimelinePoint
     for u in draws:
         z = gamma * (skill - x0)
         if not -inf < z < inf:
@@ -230,7 +262,9 @@ def _advance(
         n += 1
         t += 1
         intervened = retention < threshold
-        append(TimelinePoint(t, engagement, skill, reward, difficulty, retention, success, intervened))
+        point = open_point(t, engagement, skill, reward, difficulty, retention, success, intervened)
+        point.__class__ = record  # retype to the frozen record (see _open_twin)
+        append(point)
         if intervened:  # apply_intervention
             engagement = engagement + boost
             if engagement > 1.0:

@@ -5,6 +5,12 @@ Floats are serialized with 17 significant digits, which round-trips every
 plotting tool directly. Writers emit LF line endings unconditionally, making
 repeated runs byte-identical across platforms.
 
+The dataset, session and timeline writers format each row with one ``%``
+template (``%.17g`` per float field, which gives the bytes of
+``format(float(x), ".17g")``, and ``%d`` per integer or boolean field) and
+stream the rows to ``handle.writelines`` from a generator. Every field is a
+number, so no field ever needed the csv module's quoting.
+
 Every writer is atomic: it writes a temp file in the target's directory and
 moves it over the target with ``os.replace``, so the target holds either its
 previous bytes or all of the new ones, and a failure leaves no temp file
@@ -18,6 +24,7 @@ import csv
 import errno
 import os
 from contextlib import ExitStack, contextmanager
+from operator import attrgetter
 from pathlib import Path
 
 from .regression import ConfusionMatrix, Dataset
@@ -42,13 +49,23 @@ TIMELINE_HEADER = [
     "retention_prob", "success", "intervened",
 ]
 
+# One row template per writer, in header order.
+_DATASET_ROW = "%.17g,%.17g,%d\n"
+_SESSION_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
+_TIMELINE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+_session_fields = attrgetter("task_index", "engagement", "reward", "difficulty", "success")
+_timeline_fields = attrgetter(
+    "step", "engagement", "skill", "reward_granted", "difficulty",
+    "retention_prob", "success", "intervened",
+)
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Dataset rows converted to Python scalars per chunk: converting whole
+# columns at once would hold a list of every value in memory.
+_CHUNK_ROWS = 4096
 
 
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+def _header(columns: list[str]) -> str:
+    return ",".join(columns) + "\n"
 
 
 @contextmanager
@@ -98,11 +115,17 @@ def _replacing(path: str | Path):
 
 
 def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
+    """Write the header and one row per sample; the columns are converted
+    to Python scalars _CHUNK_ROWS rows at a time."""
     with _replacing(path) as handle:
-        out = _writer(handle)
-        out.writerow(DATASET_HEADER)
-        for e, r, y in zip(dataset.engagement, dataset.reward, dataset.retention):
-            out.writerow([_fmt(e), _fmt(r), int(y)])
+        handle.write(_header(DATASET_HEADER))
+        handle.writelines(_DATASET_ROW % row for row in _dataset_rows(dataset))
+
+
+def _dataset_rows(dataset: Dataset):
+    columns = (dataset.engagement, dataset.reward, dataset.retention)
+    for start in range(0, len(dataset), _CHUNK_ROWS):
+        yield from zip(*(column[start:start + _CHUNK_ROWS].tolist() for column in columns))
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:
@@ -131,22 +154,17 @@ def read_dataset_csv(path: str | Path) -> Dataset:
 
 
 def write_session_csv(path: str | Path, steps: list[SessionStep]) -> None:
+    """Write the header and one row per step, each formatted by one template."""
     with _replacing(path) as handle:
-        out = _writer(handle)
-        out.writerow(SESSION_HEADER)
-        for s in steps:
-            out.writerow([s.task_index, _fmt(s.engagement), _fmt(s.reward),
-                          _fmt(s.difficulty), int(s.success)])
+        handle.write(_header(SESSION_HEADER))
+        handle.writelines(_SESSION_ROW % _session_fields(s) for s in steps)
 
 
 def write_timeline_csv(path: str | Path, points: list[TimelinePoint]) -> None:
+    """Write the header and one row per point, each formatted by one template."""
     with _replacing(path) as handle:
-        out = _writer(handle)
-        out.writerow(TIMELINE_HEADER)
-        for p in points:
-            out.writerow([p.step, _fmt(p.engagement), _fmt(p.skill),
-                          _fmt(p.reward_granted), _fmt(p.difficulty),
-                          _fmt(p.retention_prob), int(p.success), int(p.intervened)])
+        handle.write(_header(TIMELINE_HEADER))
+        handle.writelines(_TIMELINE_ROW % _timeline_fields(p) for p in points)
 
 
 def write_confusion_csv(path: str | Path, cm: ConfusionMatrix) -> None:
@@ -165,7 +183,7 @@ def write_case_study_files(report_path: str | Path, report_text: str,
 
 
 def _write_confusion(handle, cm: ConfusionMatrix) -> None:
-    out = _writer(handle)
+    out = csv.writer(handle, lineterminator="\n")
     out.writerow(["", "predicted_0", "predicted_1"])
     out.writerow(["true_0", cm.tn, cm.fp])
     out.writerow(["true_1", cm.fn, cm.tp])

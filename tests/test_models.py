@@ -263,6 +263,33 @@ def test_case_difficulty_rejects_non_finite():
         case_difficulty(math.nan, 1.0)
 
 
+# --- integers too large for a float ------------------------------------------
+
+HUGE = 10**400  # exact as a Python int; float() of it raises OverflowError
+_LD = LogisticDifficultyParams(d_max=1.0, gamma=1.0, x0=0.0)
+_RP = RetentionParams(a=1.0, b=1.0, c=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: sigmoid(HUGE), "z"),
+        (lambda: sigmoid(-HUGE), "z"),
+        (lambda: logistic_difficulty(_LD, HUGE), "x"),
+        (lambda: retention_probability(_RP, HUGE, 1.0), "e"),
+        (lambda: retention_probability(_RP, 0.5, -HUGE), "r"),
+        (lambda: case_difficulty(HUGE, 1.0), "engagement"),
+        (lambda: case_difficulty(0.5, HUGE), "reward"),
+        (lambda: flow_challenge(HUGE, FlowParams(k=0.0)), "skill"),
+    ],
+    ids=["sigmoid", "sigmoid-negative", "logistic_difficulty", "retention-e", "retention-r",
+         "case-engagement", "case-reward", "flow_challenge"],
+)
+def test_kernels_name_an_integer_too_large_for_a_float(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer too large for a float$"):
+        call()
+
+
 # --- parameter validation ----------------------------------------------------
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import copy
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from engagekit.simulator import (
     simulate_session,
     step_user,
 )
+from engagekit.simulator import _OpenSessionStep, _OpenTimelinePoint
 
 from conftest import make_timeline_config
 
@@ -345,10 +346,20 @@ def test_non_finite_intermediates_keep_their_messages(cfg_overrides, state_overr
 
 # --- record protocols --------------------------------------------------------
 
+def engine_point():
+    """The last point run_timeline builds: an open twin retyped in place."""
+    return run_timeline(UserState(engagement=0.9, skill=0.5), make_timeline_config(steps=3))[-1]
+
+
+def engine_step():
+    """The last step simulate_session builds: an open twin retyped in place."""
+    return simulate_session(3, seed=4)[-1]
+
+
 @pytest.mark.parametrize(
     "record",
-    [make_point(0.25, step=3), SessionStep(2, 0.5, 3.5, 0.9, False)],
-    ids=["TimelinePoint", "SessionStep"],
+    [make_point(0.25, step=3), SessionStep(2, 0.5, 3.5, 0.9, False), engine_point(), engine_step()],
+    ids=["TimelinePoint", "SessionStep", "TimelinePoint-run_timeline", "SessionStep-simulate_session"],
 )
 def test_records_support_replace_copy_and_pickle(record):
     changed = replace(record, success=not record.success)
@@ -357,3 +368,34 @@ def test_records_support_replace_copy_and_pickle(record):
     assert pickle.loads(pickle.dumps(record)) == record
     with pytest.raises(AttributeError):
         record.success = True
+
+
+@pytest.mark.parametrize(
+    "record, record_type",
+    [(engine_point(), TimelinePoint), (engine_step(), SessionStep)],
+    ids=["run_timeline", "simulate_session"],
+)
+def test_engine_records_are_their_public_record(record, record_type):
+    assert type(record) is record_type
+    public = record_type(**{f.name: getattr(record, f.name) for f in fields(record_type)})
+    assert record == public and public == record
+    assert hash(record) == hash(public)
+    assert repr(record) == repr(public)
+    assert fields(record) == fields(public)
+    for f in fields(record_type):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+
+
+@pytest.mark.parametrize(
+    "twin, record_type",
+    [(_OpenTimelinePoint, TimelinePoint), (_OpenSessionStep, SessionStep)],
+    ids=["TimelinePoint", "SessionStep"],
+)
+def test_open_twin_slots_match_the_record_fields(twin, record_type):
+    # Retyping with obj.__class__ = record_type needs the same slots in the
+    # same order and no base class adding any of its own.
+    names = tuple(f.name for f in fields(record_type))
+    assert twin.__slots__ == names
+    assert record_type.__slots__ == names
+    assert twin.__mro__ == (twin, object)
