@@ -11,6 +11,10 @@ environment variable, then the packaged default profile. Every command is
 deterministic under fixed seeds: repeated invocations produce byte-identical
 files. Errors go to stderr; exit status is 0 on success, 2 for configuration
 problems, 1 otherwise.
+
+The numpy-backed modules (``regression``, ``case_study``) are imported only
+inside the commands that use them, so the two simulate commands run without
+importing numpy (see ``rng``).
 """
 
 from __future__ import annotations
@@ -20,9 +24,7 @@ import json
 import os
 import sys
 
-from .case_study import run_case_study
 from .config import CONFIG_ENV_VAR, ConfigError, default_config_path, load_config
-from .regression import FitError, generate_synthetic_dataset
 from .simulator import run_timeline, simulate_session
 from .storage import (
     write_case_study_files,
@@ -44,6 +46,8 @@ def _resolve_config_path(explicit: str | None) -> str:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    from .regression import generate_synthetic_dataset
+
     data = generate_synthetic_dataset(args.n, args.seed)
     write_dataset_csv(args.out, data)
     print(f"wrote {len(data)} rows to {args.out} (positive rate {data.positive_rate:.4f})")
@@ -51,6 +55,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_case_study(args: argparse.Namespace) -> int:
+    from .case_study import run_case_study
+
     cfg = load_config(_resolve_config_path(args.config))
     report = run_case_study(cfg)
     payload = json.dumps(report.to_dict(), indent=2)
@@ -125,9 +131,6 @@ def main(argv: list[str] | None = None) -> int:
         for violation in err.violations:
             print(f"error: {violation}", file=sys.stderr)
         return 2
-    except FitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -24,20 +24,19 @@ from importlib import resources
 from pathlib import Path
 
 from ._spec import (
-    AT_LEAST_ONE, INTEGER, NON_EMPTY, NON_NEGATIVE, NUMBER, POSITIVE_COUNT, UNIT, UNIT_BELOW_ONE, UNIT_OPEN,
-    Spec, check_fields,
+    AT_LEAST_ONE, INTEGER, NON_EMPTY, NON_NEGATIVE, NUMBER, POSITIVE, POSITIVE_COUNT, UNIT, UNIT_BELOW_ONE,
+    UNIT_OPEN, Spec, check_fields,
 )
 from .models import (
     DiminishingRewardParams, EngagementDecayParams, FlowParams, LogisticDifficultyParams, RetentionParams,
     RewardFrequencyParams,
 )
-from .regression import FitConfig
 from .rng import SEED
 from .simulator import TimelineConfig, UserState
 
 __all__ = [
-    "ConfigError", "ModelProfile", "CaseStudySettings", "TimelineSettings", "Seeds", "OutputPaths",
-    "RunConfig", "load_config", "parse_config", "default_config_path",
+    "ConfigError", "ModelProfile", "FitConfig", "CaseStudySettings", "TimelineSettings", "Seeds",
+    "OutputPaths", "RunConfig", "load_config", "parse_config", "default_config_path",
 ]
 
 CONFIG_ENV_VAR = "ENGAGEKIT_CONFIG"
@@ -61,6 +60,19 @@ class ModelProfile:
     flow: FlowParams
     retention: RetentionParams
     decay: EngagementDecayParams
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Gradient-descent settings for :func:`engagekit.regression.fit_logistic`,
+    which re-exports this class; it lives here so that the config loads
+    without the numpy-backed regression module."""
+
+    learning_rate: float = POSITIVE.field(0.5)
+    max_epochs: int = POSITIVE_COUNT.field(5000)
+    convergence_tol: float = POSITIVE.field(1e-6)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spec import COUNT, FINITE, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, check_fields
+from ._spec import COUNT, FINITE, POSITIVE_COUNT, UNIT_OPEN, check_fields
+from .config import FitConfig
 from .models import _sigmoid
 from .rng import make_rng
 
@@ -121,17 +122,6 @@ class SplitPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "train_indices", _readonly(np.asarray(self.train_indices, dtype=np.int64)))
         object.__setattr__(self, "test_indices", _readonly(np.asarray(self.test_indices, dtype=np.int64)))
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Gradient-descent settings for :func:`fit_logistic`."""
-
-    learning_rate: float = POSITIVE.field(0.5)
-    max_epochs: int = POSITIVE_COUNT.field(5000)
-    convergence_tol: float = POSITIVE.field(1e-6)
-
-    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,13 @@ Draw discipline is part of the contract: a timeline step consumes exactly
 one uniform draw (the success outcome at stage 2); reward and engagement
 updates consume none. A session task consumes three draws, in the order
 engagement, reward, success. Since no draw depends on the state, both
-simulators take all their draws up front in one call (``random(steps)``, or
-``random((num_tasks, 3))`` for a session), which yields the same doubles as
-one ``random()`` call at a time. Traces are therefore bit-reproducible for a
-given seed.
+simulators take all their draws up front as one list of doubles from
+``rng._draws(seed, n)``: ``steps`` draws for a timeline, ``3 * num_tasks``
+for a session, read in triples. These are the doubles that one
+``make_rng(seed).random()`` call at a time would give, in the same order,
+whether numpy or the package's pure-Python PCG64 produced them (see
+``rng``), so neither simulator needs numpy loaded. Traces are therefore
+bit-reproducible for a given seed.
 
 Validation happens at entry, not per step. UserState and TimelineConfig
 validate at construction, so one timeline engine, :func:`_advance`, runs all
@@ -59,9 +62,8 @@ indistinguishable from one built by the public constructor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, make_dataclass, replace
-
-import numpy as np
+from dataclasses import FrozenInstanceError, dataclass, fields, make_dataclass, replace
+from typing import TYPE_CHECKING
 
 from ._spec import (
     AT_LEAST_ONE,
@@ -81,7 +83,10 @@ from .models import (
     _finite,
     _sigmoid,
 )
-from .rng import SEED, make_rng
+from .rng import SEED, _draws
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UserState",
@@ -118,6 +123,28 @@ class UserState:
     __post_init__ = check_fields
 
 
+def _frozen_slots(record: type) -> type:
+    """Give a frozen ``slots=True`` dataclass the refusals of a frozen
+    dataclass without slots.
+
+    The ``__setattr__``/``__delattr__`` that dataclass generates call
+    ``super()`` with the class it had before slots were added, so on a name
+    that is not a field they raised TypeError. These raise
+    FrozenInstanceError for every name, with dataclass's messages. A frozen
+    dataclass's body may not define them, so they are set after decoration.
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    record.__setattr__, record.__delattr__ = __setattr__, __delattr__
+    return record
+
+
+@_frozen_slots
 @dataclass(frozen=True, slots=True)
 class SessionStep:
     """One task of a simulated session; difficulty is always the session
@@ -130,6 +157,7 @@ class SessionStep:
     success: bool
 
 
+@_frozen_slots
 @dataclass(frozen=True, slots=True)
 class TimelinePoint:
     """One emitted timeline sample: the user's state at the end of a step,
@@ -204,7 +232,8 @@ def simulate_session(num_tasks: int, seed: int) -> list[SessionStep]:
     POSITIVE_COUNT.check("num_tasks", num_tasks)
     steps = []
     append, open_step, record = steps.append, _OpenSessionStep, SessionStep
-    for task, (engagement, reward, u) in enumerate(make_rng(seed).random((num_tasks, 3)).tolist(), 1):
+    draws = iter(_draws(seed, 3 * num_tasks))
+    for task, (engagement, reward, u) in enumerate(zip(draws, draws, draws), 1):
         reward *= 10.0
         difficulty = _sigmoid(engagement + reward - 1.0)  # case_difficulty; both terms are finite
         step = open_step(task, engagement, reward, difficulty, u < 1.0 - difficulty)
@@ -310,5 +339,4 @@ def run_timeline(initial: UserState, cfg: TimelineConfig) -> list[TimelinePoint]
     detect_at_risk would flag is marked intervened and the state is adjusted
     as apply_intervention does. Deterministic given cfg.seed.
     """
-    draws = make_rng(cfg.seed).random(cfg.steps).tolist()
-    return _advance(initial, cfg, draws, cfg.intervention_threshold)[0]
+    return _advance(initial, cfg, _draws(cfg.seed, cfg.steps), cfg.intervention_threshold)[0]

@@ -26,9 +26,11 @@ import os
 from contextlib import ExitStack, contextmanager
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .regression import ConfusionMatrix, Dataset
-from .simulator import SessionStep, TimelinePoint
+if TYPE_CHECKING:
+    from .regression import ConfusionMatrix, Dataset
+    from .simulator import SessionStep, TimelinePoint
 
 __all__ = [
     "DATASET_HEADER",
@@ -134,6 +136,8 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     Raises:
         ValueError: on a wrong header or a malformed row (named by line).
     """
+    from .regression import Dataset  # numpy-backed: loaded only to read a dataset
+
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows or rows[0] != DATASET_HEADER:

@@ -1,7 +1,13 @@
-"""Shared fixtures: the documented default parameter profile."""
+"""Shared fixtures: the documented default parameter profile, and the
+environment for tests that start a fresh interpreter."""
+
+import os
+from pathlib import Path
 
 import pytest
 
+import engagekit
+from engagekit.config import CONFIG_ENV_VAR
 from engagekit.models import (
     DiminishingRewardParams,
     EngagementDecayParams,
@@ -37,3 +43,14 @@ def timeline_config():
 @pytest.fixture
 def initial_state():
     return UserState(engagement=0.9, skill=0.0)
+
+
+SRC = Path(engagekit.__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict:
+    """This process's environment for a child interpreter that imports
+    engagekit from SRC and resolves no config from the environment."""
+    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env

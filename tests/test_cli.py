@@ -119,6 +119,17 @@ def test_case_study_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_case_study_single_class_training_set_exits_1(tmp_path, capsys):
+    # Ten rows under the default seeds hold no positive label, so the fit
+    # raises FitError, a ValueError, which main reports like any other.
+    config = write_config(tmp_path, **{"case_study.num_samples": 10})
+    assert main(["case-study", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: training set contains a single class; boundary is undefined\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_case_study_bad_confusion_path_writes_neither_file(tmp_path, capsys):
     config = write_config(tmp_path)
     raw = json.loads(config.read_text(encoding="utf-8"))

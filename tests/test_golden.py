@@ -12,11 +12,15 @@ intervention regime, where last-bit drift would accumulate.
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from engagekit.cli import main
 from engagekit.config import default_config_path
+
+from conftest import subprocess_env
 
 # The README commands, then the large ones; {out} and {config} are filled in per test.
 COMMANDS = {
@@ -59,3 +63,27 @@ def test_cli_artifacts_match_golden_hashes(command, tmp_path):
     expected = {name: digest for (cmd, name), digest in GOLDEN.items() if cmd == command}
     written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
     assert written == expected
+
+
+def _imported_modules(importtime_log: str) -> set[str]:
+    """Module names from the lines ``python -X importtime`` writes to stderr."""
+    return {line.rsplit("|", 1)[1].strip() for line in importtime_log.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c.startswith("simulate-")])
+def test_simulate_commands_match_golden_hashes_without_numpy(command, tmp_path, capsys):
+    # A fresh `python -m engagekit`, whose draws come from the pure-Python
+    # PCG64. -X importtime logs every module the interpreter imports, so
+    # numpy missing from the log means it never entered sys.modules.
+    config = _default_config(tmp_path)
+    argv = [arg.format(out=tmp_path / "out.csv", config=config) for arg in COMMANDS[command]]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "engagekit", *argv], cwd=tmp_path,
+                          env=subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = _imported_modules(proc.stderr)
+    assert "engagekit.simulator" in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == GOLDEN[(command, "out.csv")]
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out

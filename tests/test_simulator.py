@@ -356,11 +356,12 @@ def engine_step():
     return simulate_session(3, seed=4)[-1]
 
 
-@pytest.mark.parametrize(
-    "record",
-    [make_point(0.25, step=3), SessionStep(2, 0.5, 3.5, 0.9, False), engine_point(), engine_step()],
-    ids=["TimelinePoint", "SessionStep", "TimelinePoint-run_timeline", "SessionStep-simulate_session"],
-)
+# Each record type built by its public constructor and by its engine.
+RECORDS = [make_point(0.25, step=3), SessionStep(2, 0.5, 3.5, 0.9, False), engine_point(), engine_step()]
+RECORD_IDS = ["TimelinePoint", "SessionStep", "TimelinePoint-run_timeline", "SessionStep-simulate_session"]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
 def test_records_support_replace_copy_and_pickle(record):
     changed = replace(record, success=not record.success)
     assert changed.success is not record.success
@@ -385,6 +386,20 @@ def test_engine_records_are_their_public_record(record, record_type):
     for f in fields(record_type):
         with pytest.raises(FrozenInstanceError):
             setattr(record, f.name, getattr(record, f.name))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+@pytest.mark.parametrize("name", ["step", "task_index", "success", "extra"])
+def test_records_refuse_assignment_and_deletion_of_any_name(record, name):
+    # A frozen slots dataclass's own __setattr__ calls super() with the class
+    # it had before slots were added, which raised TypeError for a name that
+    # is not a field of the record.
+    before = repr(record)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+        setattr(record, name, 1)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+        delattr(record, name)
+    assert repr(record) == before
 
 
 @pytest.mark.parametrize(
