@@ -61,7 +61,7 @@ def run_case_study(cfg: RunConfig) -> CaseStudyReport:
     model = fit_logistic(split.train, cfg.fit)
     predictions = [
         predict_label(model, e, r)
-        for e, r in zip(split.test.engagement, split.test.reward)
+        for e, r in zip(split.test.engagement.tolist(), split.test.reward.tolist())
     ]
     labels = split.test.retention.tolist()
     return CaseStudyReport(

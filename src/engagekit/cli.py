@@ -24,6 +24,7 @@ import json
 import os
 import sys
 
+from ._spec import POSITIVE_COUNT
 from .config import CONFIG_ENV_VAR, ConfigError, default_config_path, load_config
 from .simulator import run_timeline, simulate_session
 from .storage import (
@@ -66,6 +67,7 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_session(args: argparse.Namespace) -> int:
+    POSITIVE_COUNT.check("tasks", args.tasks)
     steps = simulate_session(args.tasks, args.seed)
     write_session_csv(args.out, steps)
     sys.stdout.writelines(

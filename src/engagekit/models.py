@@ -14,8 +14,10 @@ these functions:
 
 All quantities are 64-bit floats. Parameter records are frozen dataclasses
 whose fields declare their constraints (see ``_spec``), checked at
-construction; model functions are pure, so identical inputs produce
-bit-identical outputs and concurrent calls are safe.
+construction. Kernel arguments follow the records' number rule: a finite
+real (numpy scalars included); a bool, a string, a Decimal or None raises
+a ValueError naming the argument. Model functions are pure, so identical
+inputs produce bit-identical outputs and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -48,14 +50,9 @@ _P_CEIL = math.nextafter(1.0, 0.0)
 
 
 def _finite(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except OverflowError:
-        # An int of 309+ digits: exact in Python, but no float holds it.
-        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    """value as a float, after the records' number rule (``_spec.FINITE``)."""
+    FINITE.check(name, value)
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spec import COUNT, FINITE, POSITIVE_COUNT, UNIT_OPEN, check_fields
+from ._spec import COUNT, FINITE, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, check_fields
 from .config import FitConfig
-from .models import _sigmoid
+from .models import _finite, _sigmoid
 from .rng import make_rng
 
 __all__ = [
@@ -130,8 +130,9 @@ class RetentionModel:
     weights live in.
 
     Probabilities are sigmoid(w_engagement * e' + w_reward * r' + bias)
-    where e', r' are the standardized features. epochs_used records how
-    many gradient updates the fit applied.
+    where e', r' are the standardized features, by the scaler's two
+    (engagement, reward) tuples: finite means, stds > 0. epochs_used
+    records how many gradient updates the fit applied.
     """
 
     w_engagement: float = FINITE.field()
@@ -143,12 +144,12 @@ class RetentionModel:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if len(self.feature_means) != 2 or len(self.feature_stds) != 2:
-            raise ValueError("scaler must carry exactly two (mean, std) pairs")
-        if not all(math.isfinite(m) for m in self.feature_means):
-            raise ValueError("feature means must be finite")
-        if not all(math.isfinite(s) and s > 0.0 for s in self.feature_stds):
-            raise ValueError("feature stds must be finite and > 0")
+        for name, spec in (("feature_means", FINITE), ("feature_stds", POSITIVE)):
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ValueError(f"{name} must be a tuple of two numbers, got {pair!r}")
+            spec.check(f"{name}[0]", pair[0])
+            spec.check(f"{name}[1]", pair[1])
 
     def scale(self, engagement, reward):
         """Map raw features into the model's standardized space."""
@@ -326,10 +327,8 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
 
 def predict_proba(m: RetentionModel, engagement: float, reward: float) -> float:
     """Retention probability for one (engagement, reward) observation."""
-    engagement = float(engagement)
-    reward = float(reward)
-    if not (math.isfinite(engagement) and math.isfinite(reward)):
-        raise ValueError("engagement and reward must be finite")
+    engagement = _finite("engagement", engagement)
+    reward = _finite("reward", reward)
     e, r = m.scale(engagement, reward)
     z = m.w_engagement * e + m.w_reward * r + m.bias
     if not math.isfinite(z):

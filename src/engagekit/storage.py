@@ -134,7 +134,9 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     """Parse a dataset CSV written by :func:`write_dataset_csv`.
 
     Raises:
-        ValueError: on a wrong header or a malformed row (named by line).
+        ValueError: on a wrong header or a malformed row (named by line),
+            or on values that no Dataset holds (a label other than 0 or 1,
+            a non-finite feature), named by the file.
     """
     from .regression import Dataset  # numpy-backed: loaded only to read a dataset
 
@@ -154,7 +156,10 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             raise ValueError(f"{path}:{lineno}: {err}") from err
     if not engagement:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(engagement, reward, retention)
+    try:
+        return Dataset(engagement, reward, retention)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def write_session_csv(path: str | Path, steps: list[SessionStep]) -> None:

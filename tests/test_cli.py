@@ -181,6 +181,14 @@ def test_simulate_session_rejects_zero_tasks(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tasks", ["0", "-3"])
+def test_simulate_session_bad_tasks_names_the_flag(tmp_path, capsys, tasks):
+    out = tmp_path / "session.csv"
+    assert main(["simulate-session", "--tasks", tasks, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: tasks must be >= 1, got {tasks}\n")
+    assert not out.exists()
+
+
 # --- simulate-timeline -------------------------------------------------------
 
 def test_simulate_timeline_row_count_and_summary(tmp_path, capsys):

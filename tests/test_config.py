@@ -174,6 +174,23 @@ def test_dataset_csv_rejects_malformed_row(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("0.5,5.0,2", "retention labels must be 0 or 1"),
+        ("nan,5.0,1", "feature values must be finite"),
+        ("0.5,inf,0", "feature values must be finite"),
+    ],
+    ids=["label-2", "nan-feature", "inf-feature"],
+)
+def test_dataset_csv_rejects_values_no_dataset_holds_naming_the_file(tmp_path, row, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"engagement,reward,retention\n0.1,1.0,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == f"{path}: {problem}"
+
+
 def test_session_csv_layout(tmp_path):
     steps = simulate_session(10, seed=0)
     path = tmp_path / "session.csv"

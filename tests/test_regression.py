@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from engagekit.case_study import CaseStudyReport
 from engagekit.regression import (
     ConfusionMatrix,
     Dataset,
@@ -371,6 +372,26 @@ def test_confusion_partitions_and_matches_accuracy(pairs):
     cm = confusion(preds, labels)
     assert cm.total == len(pairs)
     assert accuracy(preds, labels) == pytest.approx((cm.tp + cm.tn) / cm.total, rel=1e-15)
+
+
+def make_report(accuracy_value, cm):
+    return CaseStudyReport(accuracy=accuracy_value, confusion=cm, positive_rate=0.05,
+                           w_engagement=1.0, w_reward=8.0, bias=-9.0, epochs_used=5000)
+
+
+def test_case_study_report_accepts_accuracy_of_its_confusion():
+    cm = ConfusionMatrix(tn=180, fp=3, fn=1, tp=16)
+    preds = [0] * 180 + [1] * 3 + [0] * 1 + [1] * 16
+    labels = [0] * 183 + [1] * 17
+    assert make_report(accuracy(preds, labels), cm).accuracy == 0.98
+
+
+@pytest.mark.parametrize("accuracy_value", [0.5, 0.98 + 1e-9, 0.975], ids=["far", "past-tolerance", "one-row-off"])
+def test_case_study_report_rejects_accuracy_its_confusion_contradicts(accuracy_value):
+    cm = ConfusionMatrix(tn=180, fp=3, fn=1, tp=16)
+    with pytest.raises(ValueError) as err:
+        make_report(accuracy_value, cm)
+    assert str(err.value) == f"accuracy {accuracy_value} inconsistent with confusion counts (0.98)"
 
 
 # --- model record validation -------------------------------------------------
