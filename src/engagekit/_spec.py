@@ -7,9 +7,10 @@ JSON key where that differs from the field name. A record sets
 ``__post_init__ = check_fields``, which raises on the first violation; the
 config loader asks :meth:`Spec.problem` about each JSON value and reports
 every violation. Function arguments with the same constraint as a field
-reuse its spec through :meth:`Spec.check`: the model kernels and
-``predict_proba`` check every scalar argument with :data:`FINITE`, and
-``RetentionModel`` its scaler pairs with :data:`FINITE` and :data:`POSITIVE`.
+reuse its spec through :meth:`Spec.check`: the model kernels,
+``predict_proba`` and ``retention_criterion`` check every scalar argument
+with :data:`FINITE`, and ``RetentionModel`` its scaler pairs with
+:data:`FINITE` and :data:`POSITIVE`.
 
 Kinds are declared, not read from annotations (which are strings here). A
 number is any finite real (numpy scalars included) and an integer a Python

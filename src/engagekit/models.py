@@ -133,7 +133,10 @@ def sigmoid(z: float) -> float:
 
 
 def _sigmoid(z: float) -> float:
-    """sigmoid without the finiteness check, for callers that have made it."""
+    """sigmoid without the finiteness check, for callers that have made it.
+
+    ``simulator._advance`` writes this out for its retention logit; keep the
+    two alike (the simulator's differential tests hold them equal)."""
     if z >= 0.0:
         out = 1.0 / (1.0 + math.exp(-z))
     else:

@@ -48,6 +48,24 @@ class FitError(ValueError):
     """Raised when a retention model cannot be fitted to the given data."""
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _holds_bools(values) -> bool:
+    """Whether a column is, or holds, a bool (numpy would store it as 1).
+
+    A numeric array's dtype answers without a pass over its elements; a
+    list, a tuple or an object array is scanned, by type alone.
+    """
+    dtype = getattr(values, "dtype", None)
+    if dtype is not None and dtype != object:
+        return dtype == np.bool_
+    try:
+        return not _BOOLS.isdisjoint(map(type, values))
+    except TypeError:  # not iterable: a scalar
+        return type(values) in _BOOLS
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
@@ -59,7 +77,8 @@ class Dataset:
     """Rows of (engagement, reward, retention label).
 
     Arrays share one length; features are finite floats, labels are exactly
-    0 or 1. Instances are immutable after construction.
+    0 or 1, and no column holds a bool. Instances are immutable after
+    construction.
     """
 
     engagement: np.ndarray
@@ -67,6 +86,9 @@ class Dataset:
     retention: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("engagement", "reward", "retention"):
+            if _holds_bools(getattr(self, name)):
+                raise ValueError(f"{name} must hold numbers, got a bool")
         # Labels are checked as given: the int64 cast would turn 0.7 into 0.
         labels = np.asarray(self.retention)
         if not np.isin(labels, (0, 1)).all():
@@ -176,9 +198,10 @@ class ConfusionMatrix:
 def retention_criterion(engagement: float, reward: float) -> int:
     """Synthetic label rule: 1 iff 0.5*engagement + 0.5*reward > 5.
 
-    Points exactly on the boundary get label 0 (strict inequality).
+    Points exactly on the boundary get label 0 (strict inequality). Both
+    arguments must be finite numbers; a bool is not one.
     """
-    return int(0.5 * float(engagement) + 0.5 * float(reward) > 5.0)
+    return int(0.5 * _finite("engagement", engagement) + 0.5 * _finite("reward", reward) > 5.0)
 
 
 def generate_synthetic_dataset(n: int, seed: int) -> Dataset:

@@ -42,27 +42,36 @@ bit-reproducible for a given seed.
 
 Validation happens at entry, not per step. UserState and TimelineConfig
 validate at construction, so one timeline engine, :func:`_advance`, runs all
-steps over plain floats, inlines the model kernels with their operation
-order (and math.exp) unchanged, and builds one TimelinePoint per step and no
-intermediate UserState. Inside the loop it keeps only the checks on values
-that can leave the float range, raising the messages the kernels raise and
-the object-per-step code raised: an overflowing logit (``z must be finite,
-got inf``), reward (``r must be finite, got inf``) or cumulative reward
-(``cumulative_reward must be >= 0, got inf``).
+steps over plain floats and builds one TimelinePoint per step and no
+intermediate UserState. It inlines the model kernels with their operation
+order (and math.exp) unchanged: the retention sigmoid is written out in the
+loop, with ``models._sigmoid``'s sign branch and clamp. Difficulty depends
+on skill alone, so the engine computes it (and 1 - difficulty) on the first
+step and again only on a step whose skill differs from the one it was last
+computed at, that is after a success that moved skill; skills that compare
+equal give the same difficulty bit for bit. Inside the loop it keeps only
+the checks on values that can leave the float range, at the stage of the
+step where the kernels made them, raising the messages the kernels raise
+and the object-per-step code raised: an overflowing logit (``z must be
+finite, got inf``), reward (``r must be finite, got inf``) or cumulative
+reward (``cumulative_reward must be >= 0, got inf``).
 
-Both engines build each TimelinePoint and SessionStep as a private "open
-twin" (see :func:`_open_twin`: the same slots, plain attribute stores) and
-then retype it in place with ``obj.__class__ = TimelinePoint`` (or
-SessionStep). A frozen dataclass's ``__init__`` sets each field through
-``object.__setattr__``, which was the largest cost left per step; what the
-engines return is still an ordinary frozen record, equal to and
-indistinguishable from one built by the public constructor.
+Both engines build each TimelinePoint and SessionStep without calling a
+class: ``object.__new__`` makes an instance of a private "open twin" (see
+:func:`_open_twin`: the same slots, no ``__init__``), the engine stores its
+slots as plain attributes, then retypes it in place with ``obj.__class__ =
+TimelinePoint`` (or SessionStep). A frozen dataclass's ``__init__`` sets each
+field through ``object.__setattr__``, and any class call pays for
+``type.__call__`` and a Python ``__init__`` frame; together these were the
+largest cost left per step. What the engines return is still an ordinary
+frozen record, equal to and indistinguishable from one built by the public
+constructor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, fields, make_dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from typing import TYPE_CHECKING
 
 from ._spec import (
@@ -80,6 +89,8 @@ from .models import (
     EngagementDecayParams,
     LogisticDifficultyParams,
     RetentionParams,
+    _P_CEIL,
+    _P_FLOOR,
     _finite,
     _sigmoid,
 )
@@ -174,20 +185,18 @@ class TimelinePoint:
 
 
 def _open_twin(record: type) -> type:
-    """A private mutable class with record's slots in record's field order.
+    """A private plain class with record's slots, in record's field order.
 
-    Its ``__init__`` stores each field as a plain attribute, where a frozen
-    dataclass's goes through ``object.__setattr__`` field by field. Because
-    the slot layouts are identical, CPython lets an instance of the twin be
-    retyped in place with ``obj.__class__ = record``; what results is an
-    ordinary frozen record (type, ``==``, hash, repr, replace, copy, pickle
-    and FrozenInstanceError on assignment all as if built by record(...)).
+    It has no ``__init__`` and no base but object: the engines make an
+    instance with ``object.__new__``, store each slot as a plain attribute
+    (a frozen dataclass's ``__init__`` goes through ``object.__setattr__``
+    field by field), and retype it in place with ``obj.__class__ = record``,
+    which CPython allows because the slot layouts are identical. What
+    results is an ordinary frozen record (type, ``==``, hash, repr, replace,
+    copy, pickle and FrozenInstanceError on assignment all as if built by
+    record(...)).
     """
-    return make_dataclass(
-        f"_Open{record.__name__}",
-        [(f.name, f.type) for f in fields(record)],
-        slots=True, eq=False, repr=False,
-    )
+    return type(f"_Open{record.__name__}", (), {"__slots__": record.__slots__})
 
 
 _OpenSessionStep = _open_twin(SessionStep)
@@ -231,13 +240,18 @@ def simulate_session(num_tasks: int, seed: int) -> list[SessionStep]:
     """
     POSITIVE_COUNT.check("num_tasks", num_tasks)
     steps = []
-    append, open_step, record = steps.append, _OpenSessionStep, SessionStep
+    append, new, open_step, record = steps.append, object.__new__, _OpenSessionStep, SessionStep
     draws = iter(_draws(seed, 3 * num_tasks))
     for task, (engagement, reward, u) in enumerate(zip(draws, draws, draws), 1):
         reward *= 10.0
         difficulty = _sigmoid(engagement + reward - 1.0)  # case_difficulty; both terms are finite
-        step = open_step(task, engagement, reward, difficulty, u < 1.0 - difficulty)
-        step.__class__ = record  # retype to the frozen record (see _open_twin)
+        step = new(open_step)  # an open twin, retyped below (see _open_twin)
+        step.task_index = task
+        step.engagement = engagement
+        step.reward = reward
+        step.difficulty = difficulty
+        step.success = u < 1.0 - difficulty
+        step.__class__ = record
         append(step)
     return steps
 
@@ -255,19 +269,25 @@ def _advance(
     decay_factor = math.exp(-cfg.decay.lam)
     skill_gain, boost = float(cfg.skill_gain), float(cfg.engagement_boost)
     multiplier = float(cfg.intervention_reward_multiplier)
-    inf = math.inf
+    inf, exp, p_floor, p_ceil = math.inf, math.exp, _P_FLOOR, _P_CEIL
 
     engagement, skill = float(state.engagement), float(state.skill)
     cumulative, pending = float(state.cumulative_reward), float(state.pending_reward_multiplier)
     n, t = state.interactions, state.time
+    # The skill that difficulty was last computed at; nan matches no skill,
+    # so the first step computes it.
+    known = math.nan
     points = []
-    append, open_point, record = points.append, _OpenTimelinePoint, TimelinePoint
+    append, new, open_point, record = points.append, object.__new__, _OpenTimelinePoint, TimelinePoint
     for u in draws:
-        z = gamma * (skill - x0)
-        if not -inf < z < inf:
-            _finite("z", z)  # raises logistic_difficulty's message
-        difficulty = d_max * _sigmoid(z)
-        success = u < 1.0 - difficulty
+        if skill != known:  # the first step, or a success moved skill
+            known = skill
+            z = gamma * (skill - x0)
+            if not -inf < z < inf:
+                _finite("z", z)  # raises logistic_difficulty's message
+            difficulty = d_max * _sigmoid(z)
+            keep = 1.0 - difficulty
+        success = u < keep
         if success:
             skill = skill + skill_gain * (1.0 - skill)
 
@@ -283,7 +303,15 @@ def _advance(
         z = a * engagement + b * reward - c
         if not -inf < z < inf:
             _finite("z", z)  # raises retention_probability's message
-        retention = _sigmoid(z)
+        if z >= 0.0:  # _sigmoid, inlined
+            retention = 1.0 / (1.0 + exp(-z))
+        else:
+            ez = exp(z)
+            retention = ez / (1.0 + ez)
+        if retention < p_floor:
+            retention = p_floor
+        elif retention > p_ceil:
+            retention = p_ceil
 
         cumulative = cumulative + reward
         if cumulative == inf:
@@ -291,8 +319,16 @@ def _advance(
         n += 1
         t += 1
         intervened = retention < threshold
-        point = open_point(t, engagement, skill, reward, difficulty, retention, success, intervened)
-        point.__class__ = record  # retype to the frozen record (see _open_twin)
+        point = new(open_point)  # an open twin, retyped below (see _open_twin)
+        point.step = t
+        point.engagement = engagement
+        point.skill = skill
+        point.reward_granted = reward
+        point.difficulty = difficulty
+        point.retention_prob = retention
+        point.success = success
+        point.intervened = intervened
+        point.__class__ = record
         append(point)
         if intervened:  # apply_intervention
             engagement = engagement + boost

@@ -138,7 +138,9 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             or on values that no Dataset holds (a label other than 0 or 1,
             a non-finite feature), named by the file.
     """
-    from .regression import Dataset  # numpy-backed: loaded only to read a dataset
+    import numpy as np  # loaded only to read a dataset, as Dataset is
+
+    from .regression import Dataset
 
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
@@ -157,7 +159,9 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     if not engagement:
         raise ValueError(f"{path}: no data rows")
     try:
-        return Dataset(engagement, reward, retention)
+        # Arrays, so Dataset need not scan the lists for bools: float() and
+        # int() never return one.
+        return Dataset(np.array(engagement), np.array(reward), np.array(retention))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
 

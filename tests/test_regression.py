@@ -1,6 +1,7 @@
 """Tests for the retention regression pipeline."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,41 @@ def test_dataset_checks_labels_before_casting():
         Dataset([0.1, 0.2], [1.0, 2.0], [0.7, 1.0])
 
 
+# A bool is not a number here: numpy would store True as 1 (or 1.0).
+@pytest.mark.parametrize(
+    "columns, name",
+    [
+        (([0.1, 0.2], [1.0, 2.0], [True, False]), "retention"),
+        (([0.1, 0.2], [True, 2.0], [1, 0]), "reward"),
+        (([0.1, False], [1.0, 2.0], [1, 0]), "engagement"),
+        (([0.1, 0.2], [1.0, 2.0], [1, np.bool_(False)]), "retention"),
+        (([np.bool_(True), 0.2], [1.0, 2.0], [1, 0]), "engagement"),
+        ((np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.array([True, False])), "retention"),
+        ((np.array([0.1, 0.2]), np.array([True, False]), np.array([1, 0])), "reward"),
+        ((np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.array([1, True], dtype=object)), "retention"),
+        (([0.1], [1.0], True), "retention"),
+    ],
+    ids=["label-list", "reward-list", "engagement-list", "label-numpy-bool", "engagement-numpy-bool",
+         "label-array", "reward-array", "label-object-array", "label-scalar"],
+)
+def test_dataset_rejects_bools(columns, name):
+    with pytest.raises(ValueError, match=f"^{name} must hold numbers, got a bool$"):
+        Dataset(*columns)
+
+
+class _Unscannable(np.ndarray):
+    """An array that fails any Python pass over its elements."""
+
+    def __iter__(self):
+        raise AssertionError("iterated element by element")
+
+
+def test_dataset_does_not_scan_numeric_arrays():
+    columns = (np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.array([0, 1]))
+    d = Dataset(*(column.view(_Unscannable) for column in columns))
+    assert d == Dataset(*columns)
+
+
 def test_dataset_rejects_non_finite_features():
     with pytest.raises(ValueError):
         Dataset([math.inf], [1.0], [0])
@@ -118,6 +154,21 @@ def test_generate_labels_follow_criterion():
     d = generate_synthetic_dataset(2000, seed=5)
     expected = [retention_criterion(e, r) for e, r in zip(d.engagement, d.reward)]
     assert d.retention.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "engagement, reward, message",
+    [
+        (True, "9.9", "engagement must be a number, got True"),
+        (None, 1.0, "engagement must be a number, got None"),
+        (np.bool_(True), 9.9, f"engagement must be a number, got {np.bool_(True)!r}"),
+        (0.5, "9.9", "reward must be a number, got '9.9'"),
+        (0.5, math.inf, "reward must be finite, got inf"),
+    ],
+)
+def test_retention_criterion_rejects_non_numbers(engagement, reward, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        retention_criterion(engagement, reward)
 
 
 def test_retention_criterion_points():

@@ -3,7 +3,7 @@
 import copy
 import math
 import pickle
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -414,3 +414,8 @@ def test_open_twin_slots_match_the_record_fields(twin, record_type):
     assert twin.__slots__ == names
     assert record_type.__slots__ == names
     assert twin.__mro__ == (twin, object)
+    # A plain class: the engines never call it, so it defines no __init__
+    # (nor any other method) and is no dataclass.
+    assert set(vars(twin)) == {"__module__", "__slots__", "__doc__", *names}
+    assert not is_dataclass(twin)
+    assert twin.__basicsize__ == record_type.__basicsize__

@@ -11,7 +11,7 @@ tests pin both the draw discipline and the arithmetic: results must be equal
 import math
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from engagekit.models import (
@@ -129,10 +129,92 @@ configs = st.builds(
 )
 
 
+# Successes are frequent and each moves skill 99% of the way to 1.
+REACHES_FIXED_POINT = make_timeline_config(
+    skill_gain=0.99, difficulty=LogisticDifficultyParams(d_max=0.1, gamma=1.0, x0=0.5),
+)
+
+
+# The engine computes difficulty again only when skill moves. These examples
+# hold skill still (no gain; skill already 1; a gain below half an ulp of
+# skill) or drive it to its fixed point within a few successes.
 @settings(max_examples=150, deadline=None)
 @given(initial_states, configs)
+@example(UserState(engagement=0.9, skill=0.3), make_timeline_config(skill_gain=0.0))
+@example(UserState(engagement=0.9, skill=1.0), make_timeline_config())
+@example(UserState(engagement=0.9, skill=0.5), make_timeline_config(skill_gain=1e-300))
+@example(UserState(engagement=0.9, skill=0.0), REACHES_FIXED_POINT)
 def test_run_timeline_equals_reference(initial, cfg):
     assert run_timeline(initial, cfg) == reference_timeline(initial, cfg)
+
+
+def test_difficulty_memo_examples_hold_skill_as_described():
+    assert 0.5 + 1e-300 * (1.0 - 0.5) == 0.5
+    points = run_timeline(UserState(engagement=0.9, skill=0.0), REACHES_FIXED_POINT)
+    fixed = points[-1].skill
+    assert fixed + 0.99 * (1.0 - fixed) == fixed
+    assert sum(p.success for p in points if p.skill == fixed) > 100
+
+
+def outcome(run, initial, cfg):
+    """The points run returns, or the type and message of what it raises."""
+    try:
+        return run(initial, cfg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# The engine words an overflowing cumulative reward as the object-per-step
+# UserState did when the engine was written ("must be >= 0"); UserState's
+# field spec has since said "must be finite" for the same value.
+ENGINE_WORDING = {
+    (ValueError, "cumulative_reward must be finite, got inf"): (ValueError, "cumulative_reward must be >= 0, got inf"),
+}
+
+
+def huge(moderate_max):
+    return st.floats(min_value=1e-3, max_value=moderate_max) | st.floats(min_value=1e300, max_value=1.7e308)
+
+
+overflow_configs = st.builds(
+    make_timeline_config,
+    steps=st.integers(min_value=1, max_value=50),
+    diminishing=st.builds(DiminishingRewardParams, v0=huge(100.0), beta=st.floats(min_value=0.0, max_value=2.0)),
+    difficulty=st.builds(LogisticDifficultyParams,
+                         d_max=st.floats(min_value=1e-3, max_value=1.0),
+                         gamma=huge(50.0),
+                         x0=st.floats(min_value=-2.0, max_value=2.0)),
+    retention=st.builds(RetentionParams,
+                        a=st.floats(min_value=-5.0, max_value=5.0),
+                        b=huge(5.0) | huge(5.0).map(lambda b: -b),
+                        c=st.floats(min_value=-5.0, max_value=5.0)),
+    skill_gain=st.floats(min_value=0.0, max_value=0.99),
+    engagement_boost=st.floats(min_value=0.0, max_value=2.0),
+    intervention_threshold=st.just(0.0) | st.floats(min_value=0.0, max_value=1.0,
+                                                    exclude_min=True, exclude_max=True),
+    intervention_reward_multiplier=st.floats(min_value=1.0, max_value=4.0) | st.floats(min_value=1e300,
+                                                                                        max_value=1.7e308),
+    seed=seeds,
+)
+
+
+# A success on the first step moves skill to where the difficulty logit
+# overflows: that raises at the second step's difficulty, and not at all
+# when there is no second step.
+LOGIT_OVERFLOWS_AFTER_SUCCESS = dict(
+    seed=0, skill_gain=0.99, difficulty=LogisticDifficultyParams(d_max=0.1, gamma=1e308, x0=-0.9),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(initial_states, overflow_configs)
+@example(UserState(engagement=0.9, skill=0.0), make_timeline_config(steps=1, **LOGIT_OVERFLOWS_AFTER_SUCCESS))
+@example(UserState(engagement=0.9, skill=0.0), make_timeline_config(steps=5, **LOGIT_OVERFLOWS_AFTER_SUCCESS))
+def test_run_timeline_raises_as_reference_with_overflowing_parameters(initial, cfg):
+    expected = outcome(reference_timeline, initial, cfg)
+    if isinstance(expected, tuple):
+        expected = ENGINE_WORDING.get(expected, expected)
+    assert outcome(run_timeline, initial, cfg) == expected
 
 
 @settings(deadline=None)
