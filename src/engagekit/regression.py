@@ -8,12 +8,27 @@ accuracy / confusion-matrix evaluation.
 
 Everything is deterministic: the data seed, split seed, and fit config
 reproduce bit-identical datasets, partitions, and weights.
+
+Each epoch of the fit is a short, fixed run of numpy calls on buffers
+allocated once per fit; on the default data a fit runs all its epochs, as
+the classes are separable and gradient descent never meets its tolerance.
+Four of the calls sum, each in an order that the call itself fixes: the
+two BLAS gemv products (X @ w and X.T @ residuals, where OpenBLAS fuses
+multiplies and adds), the pairwise np.add.reduce of the residuals, and the
+BLAS ddot g_w @ g_w in the stopping test. Those calls keep their form,
+since no ufunc or Python form gives their bits. Every other step is
+elementwise. A single IEEE +, -, * or / rounds to the same double in
+Python as in a numpy ufunc, so the three parameters are updated as Python
+floats, and the fitted weights stay the doubles of the original
+allocating loop (``tests/test_regression_differential.py`` holds them
+==). The sigmoid keeps np.exp, which need not round as math.exp does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -51,19 +66,34 @@ class FitError(ValueError):
 _BOOLS = frozenset((bool, np.bool_))
 
 
-def _holds_bools(values) -> bool:
-    """Whether a column is, or holds, a bool (numpy would store it as 1).
+def _non_number(values) -> str | None:
+    """What in a column is not a number ("a bool", or the repr of the first
+    such element), or None if every element is one.
 
-    A numeric array's dtype answers without a pass over its elements; a
-    list, a tuple or an object array is scanned, by type alone.
+    A number is a real, numpy scalars included, and not a bool (numpy would
+    store True as 1, parse '0.1' and turn None into nan). A typed array's
+    dtype answers without a pass over its elements; a list, a tuple or an
+    object array is scanned by type at C speed, and a string or any other
+    scalar is looked at alone.
     """
     dtype = getattr(values, "dtype", None)
     if dtype is not None and dtype != object:
-        return dtype == np.bool_
+        if dtype.kind in "iuf":
+            return None
+        if dtype.kind == "b":
+            return "a bool"
+        return repr(values.flat[0].item()) if values.size else f"dtype {dtype}"
+    if isinstance(values, (str, bytes)):
+        values = (values,)
     try:
-        return not _BOOLS.isdisjoint(map(type, values))
+        types = set(map(type, values))
     except TypeError:  # not iterable: a scalar
-        return type(values) in _BOOLS
+        values = (values,)
+        types = {type(values[0])}
+    if not _BOOLS.isdisjoint(types):
+        return "a bool"
+    bad = {t for t in types if not issubclass(t, Real)}
+    return repr(next(v for v in values if type(v) in bad)) if bad else None
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -76,9 +106,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class Dataset:
     """Rows of (engagement, reward, retention label).
 
-    Arrays share one length; features are finite floats, labels are exactly
-    0 or 1, and no column holds a bool. Instances are immutable after
-    construction.
+    Arrays share one length; every column holds numbers (not bools, strings
+    or None), features are finite floats and labels are exactly 0 or 1.
+    Instances are immutable after construction.
     """
 
     engagement: np.ndarray
@@ -87,8 +117,9 @@ class Dataset:
 
     def __post_init__(self) -> None:
         for name in ("engagement", "reward", "retention"):
-            if _holds_bools(getattr(self, name)):
-                raise ValueError(f"{name} must hold numbers, got a bool")
+            got = _non_number(getattr(self, name))
+            if got is not None:
+                raise ValueError(f"{name} must hold numbers, got {got}")
         # Labels are checked as given: the int64 cast would turn 0.7 into 0.
         labels = np.asarray(self.retention)
         if not np.isin(labels, (0, 1)).all():
@@ -244,17 +275,23 @@ def _sigmoid_vec(z: np.ndarray, out: np.ndarray, e: np.ndarray, mask: np.ndarray
     and e / (1 + e) elsewhere. On every input these are the doubles of the
     masked branch-on-sign form that models.sigmoid writes with math.exp,
     1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)), computed with np.exp: -|z|
-    is -z for z >= 0 and z otherwise. e (float64) and mask (bool) are
-    caller-supplied scratch buffers of z's shape; out may be z itself.
+    (np.absolute, then np.negative, which only move the sign bit) is -z for
+    z >= 0 and z otherwise, -0.0 included (a nan stays nan). Each call is
+    elementwise (seven passes, no summation), so nothing here depends on
+    BLAS. The masked copy costs little where few z are >= 0, as in the
+    fit's mostly negative logits. e (float64) and mask (bool) are
+    caller-supplied scratch buffers of z's shape; out may be z itself. out
+    is passed positionally where numpy allows it, which parses faster.
     Scalar clamping to the open interval is not needed under the log-eps
     clamp the loss applies.
     """
-    np.greater_equal(z, 0.0, out=mask)
-    np.copysign(z, -1.0, out=e)
-    np.exp(e, out=e)
-    np.add(e, 1.0, out=out)
+    np.greater_equal(z, 0.0, mask)
+    np.absolute(z, e)
+    np.negative(e, e)
+    np.exp(e, e)
+    np.add(e, 1.0, out)
     np.copyto(e, 1.0, where=mask)
-    return np.divide(e, out, out=out)
+    return np.divide(e, out, out)
 
 
 def _scaled_design(m: RetentionModel, d: Dataset) -> np.ndarray:
@@ -295,7 +332,21 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
     An epoch allocates nothing: it runs through buffers allocated once per
     fit, with the branch-free :func:`_sigmoid_vec` writing into them. The
     iterates are the same doubles as those of the allocating form
-    ``p = sigmoid(X @ w + b); g_w = X.T @ (p - y) / n; g_b = mean(p - y)``.
+    ``p = sigmoid(X @ w + b); g_w = X.T @ (p - y) / n; g_b = mean(p - y)``
+    with the stopping test ``sqrt(g_w @ g_w + g_b**2) < tol``:
+
+    - the calls that sum keep their form, because their order of summation
+      (and OpenBLAS's fused multiply-adds) is part of the result:
+      ``np.dot`` for both gemv products (the cblas_dgemv that ``@`` calls,
+      with less overhead), ``np.add.reduce`` for the bias gradient, and
+      ``np.dot(g_w, g_w)`` (ddot) in the stopping test, whose last bit
+      differs from ``g0*g0 + g1*g1`` in Python floats on about one pair in
+      six;
+    - the 2-element tail is Python floats: ``g_w.tolist()``, then
+      ``w0 -= lr * g0`` and so on, stored back into ``w`` for the next
+      gemv. A single IEEE multiply or subtract rounds to the same double in
+      Python as in a numpy ufunc, and ``reduce(z).item() / n`` is the double
+      ``np.add.reduce(z) / n`` was.
 
     Raises:
         FitError: if only one class is present or a feature is constant.
@@ -311,36 +362,40 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
     X = (raw - means) / stds
 
     # z holds X @ w + b, then the probabilities, then the residuals p - y.
-    # The same matmul calls as the allocating form, with out= added;
-    # np.add.reduce(z) / n is the double z.mean() returns, without its
-    # overhead.
+    # w keeps the weights as an array for the gemv; w0, w1 and b are the
+    # same doubles as Python floats.
     n = len(y)
     Xt = X.T
     z, e = np.empty(n), np.empty(n)
     mask = np.empty(n, dtype=bool)
     g_w = np.empty(2)
     w = np.zeros(2)
-    b = 0.0
-    lr = cfg.learning_rate
+    w0 = w1 = b = 0.0
+    lr, tol = cfg.learning_rate, cfg.convergence_tol
+    dot, add, subtract, divide, reduce = np.dot, np.add, np.subtract, np.divide, np.add.reduce
+    sqrt = math.sqrt
     epochs_used = 0
     for _ in range(cfg.max_epochs):
-        np.matmul(X, w, out=z)
-        z += b
+        dot(X, w, z)
+        add(z, b, z)
         _sigmoid_vec(z, z, e, mask)
-        z -= y
-        np.matmul(Xt, z, out=g_w)
-        g_w /= n
-        g_b = float(np.add.reduce(z) / n)
-        if math.sqrt(g_w @ g_w + g_b * g_b) < cfg.convergence_tol:
+        subtract(z, y, z)
+        dot(Xt, z, g_w)
+        divide(g_w, n, g_w)
+        g_b = reduce(z).item() / n
+        if sqrt(dot(g_w, g_w) + g_b * g_b) < tol:
             break
-        g_w *= lr
-        w -= g_w
+        gw0, gw1 = g_w.tolist()
+        w0 -= lr * gw0
+        w1 -= lr * gw1
         b -= lr * g_b
+        w[0] = w0
+        w[1] = w1
         epochs_used += 1
 
     return RetentionModel(
-        w_engagement=float(w[0]),
-        w_reward=float(w[1]),
+        w_engagement=w0,
+        w_reward=w1,
         bias=b,
         feature_means=(float(means[0]), float(means[1])),
         feature_stds=(float(stds[0]), float(stds[1])),
@@ -363,6 +418,39 @@ def predict_label(m: RetentionModel, engagement: float, reward: float, threshold
     """Hard 0/1 prediction; probabilities at or above the threshold map to 1."""
     UNIT_OPEN.check("threshold", threshold)
     return 1 if predict_proba(m, engagement, reward) >= threshold else 0
+
+
+# Below this distance from 0 a negative logit is handed to the scalar
+# sigmoid: exp(z) rounds to 1, and p is exactly 0.5, only for z > -2**-53
+# or so, far inside the band.
+_HALF_BAND = 1e-12
+
+
+def _predict_labels(m: RetentionModel, engagement: np.ndarray, reward: np.ndarray) -> np.ndarray:
+    """predict_label(m, e, r) at the default threshold for every row of two
+    finite float64 columns, in one pass (an int64 array of 0s and 1s).
+
+    The logits are the scalar path's doubles: the scaling and the
+    w_engagement * e' + w_reward * r' + bias sum are elementwise IEEE
+    operations in the same order. sigmoid(z) >= 0.5 holds for every z >= 0;
+    for z < 0 it holds only where exp(z) rounds to 1 (p = 1 / 2): otherwise
+    1 + exp(z) rounds above 2 * exp(z) and p to at most 0.5 - 2**-54. So
+    the sign of z decides, except for the negative logits within _HALF_BAND
+    of 0, which go through models._sigmoid as predict_label's do.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf or nan, no warning
+        e, r = m.scale(engagement, reward)
+        z = m.w_engagement * e + m.w_reward * r + m.bias
+    bad = np.flatnonzero(~np.isfinite(z))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(
+            f"engagement {float(engagement[i])!r} and reward {float(reward[i])!r} overflow the model's logit"
+        )
+    labels = (z >= 0.0).astype(np.int64)
+    for i in np.flatnonzero((z < 0.0) & (z >= -_HALF_BAND)).tolist():
+        labels[i] = _sigmoid(float(z[i])) >= 0.5
+    return labels
 
 
 def _check_paired(predictions, labels) -> tuple[np.ndarray, np.ndarray]:

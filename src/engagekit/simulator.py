@@ -54,7 +54,7 @@ the checks on values that can leave the float range, at the stage of the
 step where the kernels made them, raising the messages the kernels raise
 and the object-per-step code raised: an overflowing logit (``z must be
 finite, got inf``), reward (``r must be finite, got inf``) or cumulative
-reward (``cumulative_reward must be >= 0, got inf``).
+reward (``cumulative_reward must be finite, got inf``, as UserState says).
 
 Both engines build each TimelinePoint and SessionStep without calling a
 class: ``object.__new__`` makes an instance of a private "open twin" (see
@@ -315,7 +315,7 @@ def _advance(
 
         cumulative = cumulative + reward
         if cumulative == inf:
-            raise ValueError(f"cumulative_reward must be >= 0, got {cumulative}")
+            _finite("cumulative_reward", cumulative)  # raises UserState's message
         n += 1
         t += 1
         intervened = retention < threshold

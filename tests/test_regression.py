@@ -100,6 +100,43 @@ def test_dataset_rejects_bools(columns, name):
         Dataset(*columns)
 
 
+# Nor is a numeric string or None: numpy would parse '0.1' and store None as nan.
+@pytest.mark.parametrize(
+    "columns, name, got",
+    [
+        ((["0.1", "0.2"], ["1.0", "2.0"], [0, 1]), "engagement", "'0.1'"),
+        (([0.1, 0.2], [1.0, "2.0"], [0, 1]), "reward", "'2.0'"),
+        (([0.1, None], [1.0, 2.0], [0, 1]), "engagement", "None"),
+        (([0.1, 0.2], [1.0, 2.0], ["0", "1"]), "retention", "'0'"),
+        (([0.1, 0.2], [1.0, 2.0], [0, None]), "retention", "None"),
+        ((np.array(["0.1", "0.2"]), np.array([1.0, 2.0]), np.array([0, 1])), "engagement", "'0.1'"),
+        ((np.array([0.1, 0.2]), np.array([1.0, None]), np.array([0, 1])), "reward", "None"),
+        ((np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.array([0j, 1j])), "retention", "0j"),
+        ((np.array([], dtype=str), np.array([]), np.array([])), "engagement", "dtype <U1"),
+        (("0.1", [1.0], [0]), "engagement", "'0.1'"),
+    ],
+    ids=["engagement-strings", "reward-string", "engagement-none", "label-strings", "label-none",
+         "engagement-str-array", "reward-object-array", "label-complex-array", "empty-str-array",
+         "engagement-one-string"],
+)
+def test_dataset_rejects_non_numbers(columns, name, got):
+    with pytest.raises(ValueError, match=f"^{name} must hold numbers, got {re.escape(got)}$"):
+        Dataset(*columns)
+
+
+def test_dataset_accepts_every_kind_of_real():
+    # numpy scalars and ints in a list, an object array of floats, int and
+    # float32 arrays: all numbers, stored as the same float64 column.
+    columns = (
+        [np.float64(0.1), 0.2, 1, np.int64(2)],
+        np.array([1.0, 2.0, 3.0, 4.0], dtype=object),
+        np.array([0, 1, 0, 1], dtype=np.int8),
+    )
+    d = Dataset(*columns)
+    assert d.engagement.tolist() == [0.1, 0.2, 1.0, 2.0]
+    assert d == Dataset([0.1, 0.2, 1.0, 2.0], np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32), [0, 1, 0, 1])
+
+
 class _Unscannable(np.ndarray):
     """An array that fails any Python pass over its elements."""
 

@@ -3,15 +3,19 @@
 The reference is the original epoch loop, kept here as it was: a masked,
 branch-on-sign sigmoid that allocates its temporaries, and a loop that builds
 z, p, the residuals and the gradient afresh each epoch. fit_logistic runs
-every epoch through buffers it allocates once and a branch-free sigmoid, so
-these tests pin the arithmetic: the fitted models must be equal (==), not
-close, and the kernel must reproduce the masked form bit for bit.
+every epoch through buffers it allocates once, a branch-free sigmoid and a
+Python-float update of the three parameters, so these tests pin the
+arithmetic: the fitted models must be equal (==), not close, and the kernel
+must reproduce the masked form bit for bit. The vectorised labels of
+run_case_study are held to predict_label the same way.
 """
 
 import math
+import re
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,10 +23,13 @@ from engagekit.regression import (
     Dataset,
     FitConfig,
     RetentionModel,
+    _predict_labels,
     _sigmoid_vec,
     fit_logistic,
     generate_synthetic_dataset,
     loss_and_gradient,
+    predict_label,
+    predict_proba,
     train_test_split,
 )
 
@@ -36,7 +43,8 @@ def reference_sigmoid_vec(z):
     return out
 
 
-def reference_fit(train, cfg):
+def reference_fit(train, cfg, gradients=None):
+    """The original loop; gradients, if given, collects each epoch's (g_w, g_b)."""
     y = train.retention.astype(np.float64)
     raw = train.features()
     means = raw.mean(axis=0)
@@ -50,6 +58,8 @@ def reference_fit(train, cfg):
         resid = p - y
         g_w = X.T @ resid / len(y)
         g_b = float(resid.mean())
+        if gradients is not None:
+            gradients.append((g_w, g_b))
         if math.sqrt(g_w @ g_w + g_b * g_b) < cfg.convergence_tol:
             break
         w -= cfg.learning_rate * g_w
@@ -110,6 +120,32 @@ def datasets(draw):
     return Dataset(engagement, reward, labels)
 
 
+def overlapping(n, seed):
+    """n rows whose labels are drawn from a logistic model: the classes
+    overlap, so the gradient never vanishes and a loose tolerance stops."""
+    rng = np.random.default_rng(seed)
+    engagement, reward = rng.random(n), rng.random(n) * 10.0
+    score = (engagement - 0.5) + (reward / 10.0 - 0.5)
+    return Dataset(engagement, reward, (rng.random(n) < 1.0 / (1.0 + np.exp(-4.0 * score))).astype(np.int64))
+
+
+OVERLAPPING = overlapping(60, seed=3)
+SEPARABLE = Dataset([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], [1.0, 2.0, 3.0, 7.0, 8.0, 9.0], [0, 0, 0, 1, 1, 1])
+# Fits the draws below reach only by chance: the stopping test passing at
+# epoch 0 and mid-run, and a learning rate that pushes |z| past 745, where
+# exp(-|z|) underflows and p is exactly 0 or 1. On separable data that
+# zeroes the gradient, so the fit stops too.
+STOPS_AT_EPOCH_0 = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1.0))
+STOPS_MID_RUN = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=0.05))
+SATURATES = (OVERLAPPING, FitConfig(learning_rate=3e3, max_epochs=30, convergence_tol=1e-9))
+SATURATES_AND_STOPS = (SEPARABLE, FitConfig(learning_rate=1e3, max_epochs=50, convergence_tol=1e-9))
+
+
+def logits(m, d):
+    e, r = m.scale(d.engagement, d.reward)
+    return m.w_engagement * e + m.w_reward * r + m.bias
+
+
 fit_configs = st.builds(
     FitConfig,
     learning_rate=st.floats(0.01, 3.0),
@@ -120,8 +156,46 @@ fit_configs = st.builds(
 
 @settings(max_examples=150, deadline=None)
 @given(datasets(), fit_configs)
+@example(*STOPS_AT_EPOCH_0)
+@example(*STOPS_MID_RUN)
+@example(*SATURATES)
+@example(*SATURATES_AND_STOPS)
 def test_fit_equals_reference(train, cfg):
     assert fit_logistic(train, cfg) == reference_fit(train, cfg)
+
+
+def test_fit_examples_reach_what_they_name():
+    assert fit_logistic(*STOPS_AT_EPOCH_0).epochs_used == 0
+    assert 0 < fit_logistic(*STOPS_MID_RUN).epochs_used < 400
+    assert fit_logistic(*SATURATES).epochs_used == 30
+    assert 0 < fit_logistic(*SATURATES_AND_STOPS).epochs_used < 50
+    for train, cfg in (SATURATES, SATURATES_AND_STOPS):
+        z = logits(fit_logistic(train, cfg), train)
+        assert z.min() < -745.2 and z.max() > 745.2
+        p = kernel(z)
+        assert (p == 0.0).any() and (p == 1.0).any()
+
+
+def test_stopping_test_keeps_the_ddot_norm():
+    # g_w @ g_w runs through BLAS ddot, whose last bit can differ from
+    # g0 * g0 + g1 * g1 in Python floats. Put the tolerance between the
+    # two forms of the norm at the first epoch where they differ: the fit
+    # must stop where the ddot form says, which the other form misses by one.
+    train, cfg = STOPS_MID_RUN[0], FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-9)
+    gradients = []
+    reference_fit(train, cfg, gradients)
+    for epoch, (g_w, g_b) in enumerate(gradients):
+        g0, g1 = g_w.tolist()
+        ddot = math.sqrt(g_w @ g_w + g_b * g_b)
+        python = math.sqrt(g0 * g0 + g1 * g1 + g_b * g_b)
+        if ddot != python:
+            break
+    else:  # a BLAS without fused multiply-adds: the two forms are one
+        pytest.skip("this BLAS's ddot rounds as Python floats do on every epoch")
+    tight = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=max(ddot, python))
+    model = fit_logistic(train, tight)
+    assert model == reference_fit(train, tight)
+    assert model.epochs_used == epoch + (ddot > python)
 
 
 def test_loose_tolerances_stop_early_and_agree():
@@ -164,6 +238,19 @@ def test_kernel_signed_zero_inputs():
     assert same_bits(kernel(np.array([-745.2, -1e308, -np.inf])), np.zeros(3))
 
 
+def test_kernel_bits_at_the_edges():
+    tiny = np.finfo(float).tiny
+    cases = [
+        (0.0, 0.5), (-0.0, 0.5), (5e-324, 0.5), (-5e-324, 0.5), (tiny / 2, 0.5), (-tiny / 2, 0.5),
+        (745.0, 1.0), (-745.0, 5e-324), (745.2, 1.0), (-745.2, 0.0), (np.inf, 1.0), (-np.inf, 0.0),
+    ]
+    z, expected = (np.array(column) for column in zip(*cases))
+    assert same_bits(kernel(z), expected)
+    # nan in, nan out: -|z| gives both signs of nan the same bits.
+    p = kernel(np.array([np.nan, -np.nan]))
+    assert np.isnan(p).all() and p.view(np.uint64)[0] == p.view(np.uint64)[1]
+
+
 def test_kernel_writes_into_out_and_may_overwrite_z():
     z = np.linspace(-50.0, 50.0, 1001)
     expected = reference_sigmoid_vec(z)
@@ -189,3 +276,57 @@ def test_loss_and_gradient_equals_reference(d, weights):
         ref_loss, ref_grad = reference_loss_and_gradient(m, d)
         assert loss == ref_loss
         assert same_bits(grad, ref_grad)
+
+
+def scalar_labels(m, engagement, reward):
+    return [predict_label(m, e, r) for e, r in zip(engagement.tolist(), reward.tolist())]
+
+
+finite_weights = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(RetentionModel, finite_weights, finite_weights, finite_weights,
+              st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+              st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0))),
+    st.integers(1, 500), st.integers(0, 2**32 - 1),
+)
+def test_predict_labels_equal_predict_label(m, n, seed):
+    rng = np.random.default_rng(seed)
+    engagement, reward = rng.random(n), rng.random(n) * 10.0
+    labels = _predict_labels(m, engagement, reward)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == scalar_labels(m, engagement, reward)
+
+
+def test_predict_labels_equal_predict_label_on_a_fitted_model():
+    split = train_test_split(generate_synthetic_dataset(2000, seed=7), 0.2, seed=8)
+    m = fit_logistic(split.train, FitConfig(max_epochs=300))
+    test = split.test
+    assert _predict_labels(m, test.engagement, test.reward).tolist() == scalar_labels(m, test.engagement, test.reward)
+
+
+def test_predict_labels_at_logits_next_to_zero():
+    # The logit is the engagement itself here, so the rows walk z through
+    # the region where exp(z) rounds to 1 and p is exactly 0.5, and out of it.
+    m = RetentionModel(1.0, 0.0, 0.0, (0.0, 0.0), (1.0, 1.0))
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-16, -1e-16, 2.0**-53, -(2.0**-53), 2.0**-54, -(2.0**-54),
+             math.nextafter(-(2.0**-54), -1.0), math.nextafter(-(2.0**-53), 0.0), -1e-12,
+             math.nextafter(-1e-12, -1.0), -1e-11]
+    z = np.concatenate([edges, -np.logspace(-18, -10, 2001), np.logspace(-18, -10, 201)])
+    reward = np.zeros_like(z)
+    assert logits(m, Dataset(z, reward, np.zeros(len(z), dtype=np.int64))).tolist() == z.tolist()
+    assert _predict_labels(m, z, reward).tolist() == scalar_labels(m, z, reward)
+    negative = z[z < 0.0].tolist()
+    assert any(predict_proba(m, v, 0.0) == 0.5 for v in negative)
+    assert any(predict_proba(m, v, 0.0) < 0.5 for v in negative if v > -1e-15)
+
+
+def test_predict_labels_raise_as_predict_label_on_an_overflowing_logit():
+    m = RetentionModel(1e308, 0.0, 0.0, (0.0, 0.0), (1.0, 1.0))
+    engagement, reward = np.array([0.5, 10.0, -20.0]), np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError) as scalar:
+        scalar_labels(m, engagement, reward)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+        _predict_labels(m, engagement, reward)

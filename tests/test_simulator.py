@@ -329,7 +329,7 @@ MAX_FLOAT = 1.7976931348623157e308
           "retention": RetentionParams(a=0.5, b=10.0, c=1.5)}, {}, "z must be finite, got inf"),
         # every reward is finite, their running sum is not
         ({"diminishing": DiminishingRewardParams(v0=1e308, beta=0.0), "intervention_threshold": 0.0}, {},
-         "cumulative_reward must be >= 0, got inf"),
+         "cumulative_reward must be finite, got inf"),
     ],
     ids=["difficulty-logit", "reward", "engagement", "retention-logit", "cumulative-reward"],
 )
