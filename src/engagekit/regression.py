@@ -16,9 +16,12 @@ Four of the calls sum, each in an order that the call itself fixes: the
 two BLAS gemv products (X @ w and X.T @ residuals, where OpenBLAS fuses
 multiplies and adds), the pairwise np.add.reduce of the residuals, and the
 BLAS ddot g_w @ g_w in the stopping test. Those calls keep their form,
-since no ufunc or Python form gives their bits. Every other step is
-elementwise. A single IEEE +, -, * or / rounds to the same double in
-Python as in a numpy ufunc, so the three parameters are updated as Python
+since no ufunc or Python form gives their bits; the ddot runs only on an
+epoch whose gradient norm lies in a narrow band around the tolerance, as
+everywhere else a Python-float norm provably falls on the same side of it
+(see :func:`fit_logistic`). Every other step is elementwise. A single IEEE
++, -, * or / rounds to the same double in Python as in a numpy ufunc, so
+the gradient is scaled and the three parameters are updated as Python
 floats, and the fitted weights stay the doubles of the original
 allocating loop (``tests/test_regression_differential.py`` holds them
 ==). The sigmoid keeps np.exp, which need not round as math.exp does.
@@ -321,6 +324,26 @@ def loss_and_gradient(m: RetentionModel, d: Dataset) -> tuple[float, np.ndarray]
     return loss, grad
 
 
+# Relative half-width of the band around tol**2 in which fit_logistic
+# decides the stopping test with the ddot; the rounding errors it must
+# cover are below 14 * 2**-53, about 1.6e-15 (see fit_logistic).
+_STOP_BAND = 1e-12
+
+
+def _stopping_band(tol) -> tuple[float, float]:
+    """The (lo, hi) band around tol**2 for fit_logistic's stopping test, or
+    (nan, nan) where the test must take the ddot form on every epoch: a
+    tolerance whose square lies outside [2**-1000, 2**1000] (it underflows,
+    overflows, or leaves too little room for the underflow terms of the
+    bound), or one that is neither an int nor a float, since such a number
+    may compare with a Python float in its own precision (a float32 does)."""
+    if isinstance(tol, (int, float)):
+        t2 = float(tol) * float(tol)
+        if 2.0**-1000 <= t2 <= 2.0**1000:
+            return t2 * (1.0 - _STOP_BAND), t2 * (1.0 + _STOP_BAND)
+    return math.nan, math.nan
+
+
 def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel:
     """Fit retention weights by full-batch gradient descent.
 
@@ -338,15 +361,36 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
     - the calls that sum keep their form, because their order of summation
       (and OpenBLAS's fused multiply-adds) is part of the result:
       ``np.dot`` for both gemv products (the cblas_dgemv that ``@`` calls,
-      with less overhead), ``np.add.reduce`` for the bias gradient, and
-      ``np.dot(g_w, g_w)`` (ddot) in the stopping test, whose last bit
-      differs from ``g0*g0 + g1*g1`` in Python floats on about one pair in
-      six;
+      with less overhead) and ``np.add.reduce`` for the bias gradient;
     - the 2-element tail is Python floats: ``g_w.tolist()``, then
-      ``w0 -= lr * g0`` and so on, stored back into ``w`` for the next
-      gemv. A single IEEE multiply or subtract rounds to the same double in
-      Python as in a numpy ufunc, and ``reduce(z).item() / n`` is the double
-      ``np.add.reduce(z) / n`` was.
+      ``g0 /= n``, ``w0 -= lr * g0`` and so on, with the weights stored
+      back into ``w`` for the next gemv. A single IEEE divide, multiply or
+      subtract rounds to the same double in Python as in a numpy ufunc, and
+      ``reduce(z).item() / n`` is the double ``np.add.reduce(z) / n`` was;
+    - the stopping test is decided by ``s = g0*g0 + g1*g1 + g_b*g_b`` in
+      Python floats against the band ``lo = tol**2 * (1 - 1e-12)``, ``hi =
+      tol**2 * (1 + 1e-12)``: it stops if ``s < lo`` and goes on if ``s >=
+      hi``. Only on the rare epoch with ``lo <= s < hi``, or a nan ``s``,
+      does it take the allocating form's own test, with ``np.dot(g_w,
+      g_w)`` (ddot), whose last bit differs from ``g0*g0 + g1*g1`` on about
+      one pair in six.
+
+    The bound behind the band: with T = g0**2 + g1**2 + g_b**2, every term
+    goes through at most three roundings in either form (its product, then
+    at most two adds; a fused multiply-add rounds once, adding 0 is exact),
+    so with u = 2**-53 each form is T * (1 + d) + a, where |d| <= 3u / (1 -
+    3u) and |a| <= 3 * 2**-1075 is what products that land among the
+    subnormals lose (adds of doubles are exact there). The two forms thus
+    differ by at most 6.01u * T + 2**-1072. The square root's rounding
+    counts 2u on the square, and forming lo and hi from float(tol) at most
+    5u more. That total, under 14u (1.6e-15), lies far inside the band's
+    1e-12, and for tol**2 >= 2**-1000 the underflow terms are below
+    2**-72 * tol**2. So ``s < lo`` implies ``sqrt(ddot + g_b**2) < tol``
+    and ``s >= hi`` implies its negation, an infinite ``s`` included: T is
+    then at least 2**1023, so the ddot form's norm is at least 2**511 >
+    tol, as tol**2 <= 2**1000. A tolerance outside that range, or not an
+    int or a float, gets no band (:func:`_stopping_band`), and every epoch
+    takes the ddot form.
 
     Raises:
         FitError: if only one class is present or a feature is constant.
@@ -363,7 +407,8 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
 
     # z holds X @ w + b, then the probabilities, then the residuals p - y.
     # w keeps the weights as an array for the gemv; w0, w1 and b are the
-    # same doubles as Python floats.
+    # same doubles as Python floats. g_w holds X.T @ (p - y), divided by n
+    # only on an epoch that takes the ddot form of the stopping test.
     n = len(y)
     Xt = X.T
     z, e = np.empty(n), np.empty(n)
@@ -372,6 +417,7 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
     w = np.zeros(2)
     w0 = w1 = b = 0.0
     lr, tol = cfg.learning_rate, cfg.convergence_tol
+    lo, hi = _stopping_band(tol)
     dot, add, subtract, divide, reduce = np.dot, np.add, np.subtract, np.divide, np.add.reduce
     sqrt = math.sqrt
     epochs_used = 0
@@ -381,11 +427,17 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
         _sigmoid_vec(z, z, e, mask)
         subtract(z, y, z)
         dot(Xt, z, g_w)
-        divide(g_w, n, g_w)
-        g_b = reduce(z).item() / n
-        if sqrt(dot(g_w, g_w) + g_b * g_b) < tol:
-            break
         gw0, gw1 = g_w.tolist()
+        gw0 /= n
+        gw1 /= n
+        g_b = reduce(z).item() / n
+        s = gw0 * gw0 + gw1 * gw1 + g_b * g_b
+        if not s >= hi:  # below the band's top, a nan s, or no band
+            if s < lo:
+                break
+            divide(g_w, n, g_w)
+            if sqrt(dot(g_w, g_w) + g_b * g_b) < tol:
+                break
         w0 -= lr * gw0
         w1 -= lr * gw1
         b -= lr * g_b

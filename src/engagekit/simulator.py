@@ -56,16 +56,18 @@ and the object-per-step code raised: an overflowing logit (``z must be
 finite, got inf``), reward (``r must be finite, got inf``) or cumulative
 reward (``cumulative_reward must be finite, got inf``, as UserState says).
 
-Both engines build each TimelinePoint and SessionStep without calling a
-class: ``object.__new__`` makes an instance of a private "open twin" (see
-:func:`_open_twin`: the same slots, no ``__init__``), the engine stores its
-slots as plain attributes, then retypes it in place with ``obj.__class__ =
-TimelinePoint`` (or SessionStep). A frozen dataclass's ``__init__`` sets each
-field through ``object.__setattr__``, and any class call pays for
-``type.__call__`` and a Python ``__init__`` frame; together these were the
-largest cost left per step. What the engines return is still an ordinary
-frozen record, equal to and indistinguishable from one built by the public
-constructor.
+Both engines build each TimelinePoint and SessionStep without the record's
+``__init__``: a call with no arguments makes an instance of a private "open
+twin" (see :func:`_open_twin`: the same slots, no ``__init__`` of its own,
+so the call runs only object's C ``__new__`` and ``__init__``), the engine
+stores its slots as plain attributes, then retypes it in place with
+``obj.__class__ = TimelinePoint`` (or SessionStep). A frozen dataclass's
+``__init__`` is a Python frame that sets each field through
+``object.__setattr__``; that was the largest cost left per step. The
+twin's bare call also costs less than ``object.__new__(twin)``, a generic
+wrapper that packs and checks its arguments. What the engines return is
+still an ordinary frozen record, equal to and indistinguishable from one
+built by the public constructor.
 """
 
 from __future__ import annotations
@@ -188,13 +190,13 @@ def _open_twin(record: type) -> type:
     """A private plain class with record's slots, in record's field order.
 
     It has no ``__init__`` and no base but object: the engines make an
-    instance with ``object.__new__``, store each slot as a plain attribute
-    (a frozen dataclass's ``__init__`` goes through ``object.__setattr__``
-    field by field), and retype it in place with ``obj.__class__ = record``,
-    which CPython allows because the slot layouts are identical. What
-    results is an ordinary frozen record (type, ``==``, hash, repr, replace,
-    copy, pickle and FrozenInstanceError on assignment all as if built by
-    record(...)).
+    instance by calling it with no arguments, store each slot as a plain
+    attribute (a frozen dataclass's ``__init__`` goes through
+    ``object.__setattr__`` field by field), and retype it in place with
+    ``obj.__class__ = record``, which CPython allows because the slot
+    layouts are identical. What results is an ordinary frozen record (type,
+    ``==``, hash, repr, replace, copy, pickle and FrozenInstanceError on
+    assignment all as if built by record(...)).
     """
     return type(f"_Open{record.__name__}", (), {"__slots__": record.__slots__})
 
@@ -240,12 +242,12 @@ def simulate_session(num_tasks: int, seed: int) -> list[SessionStep]:
     """
     POSITIVE_COUNT.check("num_tasks", num_tasks)
     steps = []
-    append, new, open_step, record = steps.append, object.__new__, _OpenSessionStep, SessionStep
+    append, open_step, record = steps.append, _OpenSessionStep, SessionStep
     draws = iter(_draws(seed, 3 * num_tasks))
     for task, (engagement, reward, u) in enumerate(zip(draws, draws, draws), 1):
         reward *= 10.0
         difficulty = _sigmoid(engagement + reward - 1.0)  # case_difficulty; both terms are finite
-        step = new(open_step)  # an open twin, retyped below (see _open_twin)
+        step = open_step()  # an open twin, retyped below (see _open_twin)
         step.task_index = task
         step.engagement = engagement
         step.reward = reward
@@ -278,7 +280,7 @@ def _advance(
     # so the first step computes it.
     known = math.nan
     points = []
-    append, new, open_point, record = points.append, object.__new__, _OpenTimelinePoint, TimelinePoint
+    append, open_point, record = points.append, _OpenTimelinePoint, TimelinePoint
     for u in draws:
         if skill != known:  # the first step, or a success moved skill
             known = skill
@@ -319,7 +321,7 @@ def _advance(
         n += 1
         t += 1
         intervened = retention < threshold
-        point = new(open_point)  # an open twin, retyped below (see _open_twin)
+        point = open_point()  # an open twin, retyped below (see _open_twin)
         point.step = t
         point.engagement = engagement
         point.skill = skill

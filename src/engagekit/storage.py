@@ -80,7 +80,8 @@ def _staged_files():
     staging order; after an error in the block, or in closing a handle,
     every temp file is removed and no path changes. Staging a path that is
     a directory raises IsADirectoryError at once, so that the renames, the
-    only step left that could fail part way, do not fail on it.
+    only step left that could fail part way, do not fail on it. An OSError
+    from creating or renaming a temp file names the path it stands for.
     """
     staged: list[tuple[str, str]] = []
     handles = ExitStack()
@@ -93,7 +94,10 @@ def _staged_files():
         tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
         # Mode "x" creates the file as open() would (0o666 less the umask),
         # so the replaced file keeps the usual permissions.
-        handle = handles.enter_context(open(tmp, "x", encoding="utf-8", newline=""))
+        try:
+            handle = handles.enter_context(open(tmp, "x", encoding="utf-8", newline=""))
+        except OSError as err:
+            raise _naming(err, path) from None
         staged.append((tmp, path))
         return handle
 
@@ -101,12 +105,20 @@ def _staged_files():
         with handles:
             yield stage
         for tmp, path in staged:
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as err:
+                raise _naming(err, path) from None
     except BaseException:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
         raise
+
+
+def _naming(err: OSError, path: str) -> OSError:
+    """err, as raised for path instead of the temp file staged beside it."""
+    return type(err)(err.errno, err.strerror, path)
 
 
 @contextmanager

@@ -67,6 +67,35 @@ def test_gen_data_io_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def missing_file_error(path):
+    # The message names the path the user gave, not the temp file staged beside it.
+    return f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--n", "10"],
+    ["simulate-session", "--tasks", "3"],
+    ["simulate-timeline", "--steps", "5"],
+])
+def test_missing_output_directory_names_the_output_path(tmp_path, capsys, command):
+    out = tmp_path / "missing_dir" / "x.csv"
+    assert main(command + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == missing_file_error(out)
+    assert ".tmp" not in captured.err
+
+
+@pytest.mark.parametrize("output", ["report_json", "confusion_csv"])
+def test_case_study_missing_output_directory_names_the_output_path(tmp_path, capsys, output):
+    config = write_config(tmp_path)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["output"][output] = str(tmp_path / "missing_dir" / "out")
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["case-study", "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", missing_file_error(tmp_path / "missing_dir" / "out"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 # --- case-study --------------------------------------------------------------
 
 def test_case_study_report(tmp_path, capsys):

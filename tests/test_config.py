@@ -1,6 +1,8 @@
 """Tests for JSON configuration loading/validation and CSV persistence."""
 
+import errno
 import json
+import os
 import re
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -247,6 +249,19 @@ def test_write_onto_directory_fails_before_writing(tmp_path):
         write_confusion_csv(tmp_path, ConfusionMatrix(tn=1, fp=0, fn=0, tp=1))
     assert list(tmp_path.iterdir()) == []
     assert list(tmp_path.parent.glob(f".{tmp_path.name}*")) == []
+
+
+def test_failed_rename_names_the_target_not_the_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+
+    path = tmp_path / "cm.csv"
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError) as err:
+        write_confusion_csv(path, ConfusionMatrix(tn=1, fp=0, fn=0, tp=1))
+    assert (err.value.errno, err.value.filename, err.value.filename2) == (errno.EACCES, str(path), None)
+    assert str(err.value) == f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: {str(path)!r}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_case_study_files_land_together_or_not_at_all(tmp_path):

@@ -3,8 +3,9 @@
 The reference is the original epoch loop, kept here as it was: a masked,
 branch-on-sign sigmoid that allocates its temporaries, and a loop that builds
 z, p, the residuals and the gradient afresh each epoch. fit_logistic runs
-every epoch through buffers it allocates once, a branch-free sigmoid and a
-Python-float update of the three parameters, so these tests pin the
+every epoch through buffers it allocates once, a branch-free sigmoid, a
+Python-float update of the three parameters and a Python-float stopping
+test that calls the ddot only near the tolerance, so these tests pin the
 arithmetic: the fitted models must be equal (==), not close, and the kernel
 must reproduce the masked form bit for bit. The vectorised labels of
 run_case_study are held to predict_label the same way.
@@ -12,6 +13,7 @@ run_case_study are held to predict_label the same way.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -134,11 +136,21 @@ SEPARABLE = Dataset([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], [1.0, 2.0, 3.0, 7.0, 8.0, 9.
 # Fits the draws below reach only by chance: the stopping test passing at
 # epoch 0 and mid-run, and a learning rate that pushes |z| past 745, where
 # exp(-|z|) underflows and p is exactly 0 or 1. On separable data that
-# zeroes the gradient, so the fit stops too.
+# shrinks the gradient to about 3e-271, whose squares underflow to 0, so
+# the fit stops too.
 STOPS_AT_EPOCH_0 = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1.0))
 STOPS_MID_RUN = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=0.05))
 SATURATES = (OVERLAPPING, FitConfig(learning_rate=3e3, max_epochs=30, convergence_tol=1e-9))
 SATURATES_AND_STOPS = (SEPARABLE, FitConfig(learning_rate=1e3, max_epochs=50, convergence_tol=1e-9))
+# A larger step saturates every row, so the residuals and the gradient are
+# exactly 0.
+ZERO_GRADIENT = (SEPARABLE, FitConfig(learning_rate=2e3, max_epochs=50, convergence_tol=1e-9))
+# Tolerances whose square underflows (to a subnormal, or to 0, so that only
+# a zero norm passes) or overflows: the stopping test has no band there.
+TOL_SQUARE_SUBNORMAL = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-170))
+TOL_SQUARE_ZERO = (SEPARABLE, FitConfig(learning_rate=2e3, max_epochs=50, convergence_tol=5e-324))
+TOL_SQUARE_INF = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e200))
+TOL_MAX = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=sys.float_info.max))
 
 
 def logits(m, d):
@@ -150,7 +162,11 @@ fit_configs = st.builds(
     FitConfig,
     learning_rate=st.floats(0.01, 3.0),
     max_epochs=st.integers(1, 400),
-    convergence_tol=st.one_of(st.floats(1e-9, 1e-4), st.floats(1e-3, 0.5)),
+    convergence_tol=st.one_of(
+        st.floats(1e-9, 1e-4),
+        st.floats(1e-3, 0.5),
+        st.floats(0.0, exclude_min=True, allow_infinity=False),  # all that POSITIVE allows
+    ),
 )
 
 
@@ -160,6 +176,11 @@ fit_configs = st.builds(
 @example(*STOPS_MID_RUN)
 @example(*SATURATES)
 @example(*SATURATES_AND_STOPS)
+@example(*ZERO_GRADIENT)
+@example(*TOL_SQUARE_SUBNORMAL)
+@example(*TOL_SQUARE_ZERO)
+@example(*TOL_SQUARE_INF)
+@example(*TOL_MAX)
 def test_fit_equals_reference(train, cfg):
     assert fit_logistic(train, cfg) == reference_fit(train, cfg)
 
@@ -174,6 +195,19 @@ def test_fit_examples_reach_what_they_name():
         assert z.min() < -745.2 and z.max() > 745.2
         p = kernel(z)
         assert (p == 0.0).any() and (p == 1.0).any()
+    for (train, cfg), zero in ((SATURATES_AND_STOPS, False), (ZERO_GRADIENT, True), (TOL_SQUARE_ZERO, True)):
+        gradients = []
+        model = reference_fit(train, cfg, gradients)
+        assert fit_logistic(train, cfg).epochs_used == model.epochs_used < 50
+        g_w, g_b = gradients[-1]
+        g = [*g_w.tolist(), g_b]
+        assert [x * x for x in g] == [0.0] * 3  # zero, or so small that the squares underflow
+        assert (g == [0.0] * 3) is zero
+    assert fit_logistic(*TOL_SQUARE_SUBNORMAL).epochs_used == 400
+    assert fit_logistic(*TOL_SQUARE_INF).epochs_used == fit_logistic(*TOL_MAX).epochs_used == 0
+    for _, cfg in (TOL_SQUARE_SUBNORMAL, TOL_SQUARE_ZERO, TOL_SQUARE_INF, TOL_MAX):
+        square = cfg.convergence_tol * cfg.convergence_tol
+        assert square < sys.float_info.min or square == math.inf
 
 
 def test_stopping_test_keeps_the_ddot_norm():
@@ -196,6 +230,44 @@ def test_stopping_test_keeps_the_ddot_norm():
     model = fit_logistic(train, tight)
     assert model == reference_fit(train, tight)
     assert model.epochs_used == epoch + (ddot > python)
+
+
+def test_tolerances_at_the_band_edges_agree():
+    # The fit decides the stopping test in Python floats outside a band of
+    # relative half-width 1e-12 around tol**2 (about 5e-13 on the norm) and
+    # with the ddot inside it. Put the tolerance just inside and just
+    # outside that band, and within a few ulps of the norm, at several
+    # epochs: every fit must stop where the reference stops.
+    train = STOPS_MID_RUN[0]
+    gradients = []
+    reference_fit(train, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-9), gradients)
+    offsets = [k * 2.0**-53 for k in range(-6, 7)] + [k * 1e-13 for k in (-8, -6, -5, -4, 4, 5, 6, 8)]
+    for epoch in (0, 1, 8, 57, 399):
+        g_w, g_b = gradients[epoch]
+        norm = math.sqrt(g_w @ g_w + g_b * g_b)
+        for offset in offsets:
+            cfg = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=norm * (1.0 + offset))
+            assert fit_logistic(train, cfg) == reference_fit(train, cfg), (epoch, offset)
+
+
+def test_float32_tolerance_compares_as_numpy_does():
+    # A Python float compared with a float32 is rounded to float32 first, so
+    # a float32 tolerance just above the norm can still fail to stop the
+    # fit. The reference stops where that comparison says; so must the fit.
+    train = STOPS_MID_RUN[0]
+    gradients = []
+    reference_fit(train, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-9), gradients)
+    norms = [math.sqrt(g_w @ g_w + g_b * g_b) for g_w, g_b in gradients]
+    # The first epoch whose norm float32 rounds up, by far more than the
+    # band, to a new minimum: only that rounding keeps the fit going there.
+    epoch = next(
+        i for i in range(1, len(norms))
+        if float(np.float32(norms[i])) > norms[i] * (1.0 + 1e-9) and min(norms[:i]) > float(np.float32(norms[i]))
+    )
+    cfg = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=np.float32(norms[epoch]))
+    model = fit_logistic(train, cfg)
+    assert model == reference_fit(train, cfg)
+    assert model.epochs_used > epoch
 
 
 def test_loose_tolerances_stop_early_and_agree():
