@@ -203,10 +203,13 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read, parse, and validate a JSON run configuration file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read, parse, and validate a JSON run configuration file.
+
+    The file must be UTF-8, as JSON text is (RFC 8259, section 8.1): other
+    bytes are invalid JSON, reported like a syntax error.
+    """
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError([f"{path}: invalid JSON: {err}"]) from err
     return parse_config(raw)

@@ -1,15 +1,16 @@
-"""CSV persistence for datasets and simulation traces.
+"""CSV persistence for datasets, simulation traces and confusion matrices.
 
 Floats are serialized with 17 significant digits, which round-trips every
 64-bit value exactly; booleans are written as 0/1 so the files feed any
 plotting tool directly. Writers emit LF line endings unconditionally, making
 repeated runs byte-identical across platforms.
 
-The dataset, session and timeline writers format each row with one ``%``
-template (``%.17g`` per float field, which gives the bytes of
-``format(float(x), ".17g")``, and ``%d`` per integer or boolean field) and
-stream the rows to ``handle.writelines`` from a generator. Every field is a
-number, so no field ever needed the csv module's quoting.
+All four CSVs are written by one helper, :func:`_write_csv`: a header line,
+then one ``%`` template per row (``%.17g`` per float field, which gives the
+bytes of ``format(float(x), ".17g")``, and ``%d`` per integer or boolean
+field), streamed to ``handle.writelines`` from a generator. Every field is a
+number, so no field needs the csv module's quoting; the module only parses,
+in :func:`read_dataset_csv`, one row at a time.
 
 Every writer is atomic: it writes a temp file in the target's directory and
 moves it over the target with ``os.replace``, so the target holds either its
@@ -51,10 +52,13 @@ TIMELINE_HEADER = [
     "retention_prob", "success", "intervened",
 ]
 
-# One row template per writer, in header order.
+_CONFUSION_HEADER = ["", "predicted_0", "predicted_1"]
+
+# One row template per CSV, in header order.
 _DATASET_ROW = "%.17g,%.17g,%d\n"
 _SESSION_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
 _TIMELINE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+_CONFUSION_ROW = "true_%d,%d,%d\n"
 _session_fields = attrgetter("task_index", "engagement", "reward", "difficulty", "success")
 _timeline_fields = attrgetter(
     "step", "engagement", "skill", "reward_granted", "difficulty",
@@ -64,10 +68,6 @@ _timeline_fields = attrgetter(
 # Dataset rows converted to Python scalars per chunk: converting whole
 # columns at once would hold a list of every value in memory.
 _CHUNK_ROWS = 4096
-
-
-def _header(columns: list[str]) -> str:
-    return ",".join(columns) + "\n"
 
 
 @contextmanager
@@ -80,16 +80,22 @@ def _staged_files():
     staging order; after an error in the block, or in closing a handle,
     every temp file is removed and no path changes. Staging a path that is
     a directory raises IsADirectoryError at once, so that the renames, the
-    only step left that could fail part way, do not fail on it. An OSError
-    from creating or renaming a temp file names the path it stands for.
+    only step left that could fail part way, do not fail on it. Staging a
+    path whose ``os.path.realpath`` was already staged in the block raises
+    ValueError naming both paths: the later rename would silently replace
+    the earlier file. An OSError from creating or renaming a temp file
+    names the path it stands for.
     """
-    staged: list[tuple[str, str]] = []
+    staged: dict[str, tuple[str, str]] = {}  # realpath -> (temp file, path)
     handles = ExitStack()
 
     def stage(path: str | Path):
         path = os.fspath(path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        real = os.path.realpath(path)
+        if real in staged:
+            raise ValueError(f"{path}: names the same file as {staged[real][1]}")
         head, name = os.path.split(path)
         tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
         # Mode "x" creates the file as open() would (0o666 less the umask),
@@ -98,19 +104,19 @@ def _staged_files():
             handle = handles.enter_context(open(tmp, "x", encoding="utf-8", newline=""))
         except OSError as err:
             raise _naming(err, path) from None
-        staged.append((tmp, path))
+        staged[real] = (tmp, path)
         return handle
 
     try:
         with handles:
             yield stage
-        for tmp, path in staged:
+        for tmp, path in staged.values():
             try:
                 os.replace(tmp, path)
             except OSError as err:
                 raise _naming(err, path) from None
     except BaseException:
-        for tmp, _ in staged:
+        for tmp, _ in staged.values():
             if os.path.exists(tmp):
                 os.remove(tmp)
         raise
@@ -121,19 +127,17 @@ def _naming(err: OSError, path: str) -> OSError:
     return type(err)(err.errno, err.strerror, path)
 
 
-@contextmanager
-def _replacing(path: str | Path):
-    """A text handle whose bytes replace path in one step on success."""
-    with _staged_files() as stage:
-        yield stage(path)
+def _write_csv(handle, header: list[str], template: str, rows) -> None:
+    """Write the header line, then ``template % row`` for each row."""
+    handle.write(",".join(header) + "\n")
+    handle.writelines(template % row for row in rows)
 
 
 def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
     """Write the header and one row per sample; the columns are converted
     to Python scalars _CHUNK_ROWS rows at a time."""
-    with _replacing(path) as handle:
-        handle.write(_header(DATASET_HEADER))
-        handle.writelines(_DATASET_ROW % row for row in _dataset_rows(dataset))
+    with _staged_files() as stage:
+        _write_csv(stage(path), DATASET_HEADER, _DATASET_ROW, _dataset_rows(dataset))
 
 
 def _dataset_rows(dataset: Dataset):
@@ -143,31 +147,36 @@ def _dataset_rows(dataset: Dataset):
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:
-    """Parse a dataset CSV written by :func:`write_dataset_csv`.
+    """Parse a dataset CSV written by :func:`write_dataset_csv`, converting
+    each row as the csv reader yields it.
 
     Raises:
         ValueError: on a wrong header or a malformed row (named by line),
-            or on values that no Dataset holds (a label other than 0 or 1,
-            a non-finite feature), named by the file.
+            on bytes that are not UTF-8, or on values that no Dataset holds
+            (a label other than 0 or 1, a non-finite feature), named by the
+            file. The first fault in file order is the one reported.
     """
     import numpy as np  # loaded only to read a dataset, as Dataset is
 
     from .regression import Dataset
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0] != DATASET_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(DATASET_HEADER)}")
     engagement, reward, retention = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        try:
-            engagement.append(float(row[0]))
-            reward.append(float(row[1]))
-            retention.append(int(row[2]))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from err
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            rows = csv.reader(handle)
+            if next(rows, None) != DATASET_HEADER:
+                raise ValueError(f"{path}: expected header {','.join(DATASET_HEADER)}")
+            for lineno, row in enumerate(rows, start=2):
+                if len(row) != 3:
+                    raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                try:
+                    engagement.append(float(row[0]))
+                    reward.append(float(row[1]))
+                    retention.append(int(row[2]))
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from err
     if not engagement:
         raise ValueError(f"{path}: no data rows")
     try:
@@ -179,23 +188,21 @@ def read_dataset_csv(path: str | Path) -> Dataset:
 
 
 def write_session_csv(path: str | Path, steps: list[SessionStep]) -> None:
-    """Write the header and one row per step, each formatted by one template."""
-    with _replacing(path) as handle:
-        handle.write(_header(SESSION_HEADER))
-        handle.writelines(_SESSION_ROW % _session_fields(s) for s in steps)
+    """Write the header and one row per step."""
+    with _staged_files() as stage:
+        _write_csv(stage(path), SESSION_HEADER, _SESSION_ROW, map(_session_fields, steps))
 
 
 def write_timeline_csv(path: str | Path, points: list[TimelinePoint]) -> None:
-    """Write the header and one row per point, each formatted by one template."""
-    with _replacing(path) as handle:
-        handle.write(_header(TIMELINE_HEADER))
-        handle.writelines(_TIMELINE_ROW % _timeline_fields(p) for p in points)
+    """Write the header and one row per point."""
+    with _staged_files() as stage:
+        _write_csv(stage(path), TIMELINE_HEADER, _TIMELINE_ROW, map(_timeline_fields, points))
 
 
 def write_confusion_csv(path: str | Path, cm: ConfusionMatrix) -> None:
     """2x2 layout matching the matrix convention: rows true, columns predicted."""
-    with _replacing(path) as handle:
-        _write_confusion(handle, cm)
+    with _staged_files() as stage:
+        _write_csv(stage(path), _CONFUSION_HEADER, _CONFUSION_ROW, _confusion_rows(cm))
 
 
 def write_case_study_files(report_path: str | Path, report_text: str,
@@ -204,11 +211,8 @@ def write_case_study_files(report_path: str | Path, report_text: str,
     or, on any error, neither does."""
     with _staged_files() as stage:
         stage(report_path).write(report_text)
-        _write_confusion(stage(confusion_path), cm)
+        _write_csv(stage(confusion_path), _CONFUSION_HEADER, _CONFUSION_ROW, _confusion_rows(cm))
 
 
-def _write_confusion(handle, cm: ConfusionMatrix) -> None:
-    out = csv.writer(handle, lineterminator="\n")
-    out.writerow(["", "predicted_0", "predicted_1"])
-    out.writerow(["true_0", cm.tn, cm.fp])
-    out.writerow(["true_1", cm.fn, cm.tp])
+def _confusion_rows(cm: ConfusionMatrix):
+    return (0, cm.tn, cm.fp), (1, cm.fn, cm.tp)

@@ -185,6 +185,24 @@ def test_case_study_failure_keeps_previous_files(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "confusion.csv", "report.json"]
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_case_study_one_file_for_both_outputs_exits_1_writing_nothing(tmp_path, capsys, monkeypatch, existing):
+    # report_json and confusion_csv name one file: the report would be lost
+    # under the confusion CSV, so the run fails and the file keeps its bytes.
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["output"].update(report_json="same.out", confusion_csv="./same.out")
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    if existing:
+        (tmp_path / "same.out").write_text("previous\n", encoding="utf-8")
+    assert main(["case-study", "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", "error: ./same.out: names the same file as same.out\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"] + (["same.out"] if existing else [])
+    if existing:
+        assert (tmp_path / "same.out").read_text(encoding="utf-8") == "previous\n"
+
+
 # --- simulate-session --------------------------------------------------------
 
 def test_simulate_session_prints_task_lines(tmp_path, capsys):
@@ -257,6 +275,19 @@ def test_simulate_timeline_malformed_config_writes_nothing(tmp_path, capsys):
     assert main(["simulate-timeline", "--config", str(config), "--out", str(out)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["case-study"], ["simulate-timeline", "--steps", "5"]])
+def test_non_utf8_config_exits_2_naming_the_path(tmp_path, capsys, command):
+    config = tmp_path / "latin1.json"
+    config.write_bytes(b'{"models": "caf\xe9"}')
+    out = tmp_path / "timeline.csv"
+    extra = ["--out", str(out)] if command[0] == "simulate-timeline" else []
+    assert main(command + ["--config", str(config)] + extra) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {config}: invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 15: "
+            "invalid continuation byte\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.json"]
 
 
 def test_simulate_timeline_missing_config_file(tmp_path, capsys):

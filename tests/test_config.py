@@ -11,10 +11,13 @@ import pytest
 
 from engagekit.config import (
     ConfigError,
+    Seeds,
+    TimelineSettings,
     default_config_path,
     load_config,
     parse_config,
 )
+from engagekit.models import EngagementDecayParams
 from engagekit.regression import ConfusionMatrix, FitConfig, generate_synthetic_dataset
 from engagekit.simulator import TimelineConfig, UserState, run_timeline, simulate_session
 from engagekit.storage import (
@@ -143,6 +146,25 @@ def test_missing_file_raises_oserror(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
+def utf8_error(data: bytes) -> str:
+    """The message that decoding data as UTF-8 raises."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return str(err)
+    raise AssertionError("data is valid UTF-8")
+
+
+def test_non_utf8_config_is_invalid_json_naming_the_path(tmp_path):
+    # JSON text exchanged between systems must be UTF-8 (RFC 8259, 8.1).
+    data = b'{"models": "\xff"}'
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == [f"{path}: invalid JSON: {utf8_error(data)}"]
+
+
 # --- CSV persistence ---------------------------------------------------------
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -174,6 +196,32 @@ def test_dataset_csv_rejects_malformed_row(tmp_path):
     with pytest.raises(ValueError) as err:
         read_dataset_csv(path)
     assert ":2:" in str(err.value)
+
+
+@pytest.mark.parametrize("row, count", [("0.5,5.0", 2), ("0.5,5.0,1,1", 4), ("", 0)])
+def test_dataset_csv_wrong_column_count_message(tmp_path, row, count):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"engagement,reward,retention\n0.1,1.0,0\n{row}\n0.2,2.0,1\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == f"{path}:3: expected 3 columns, got {count}"
+
+
+def test_dataset_csv_header_only_message(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("engagement,reward,retention\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == f"{path}: no data rows"
+
+
+def test_dataset_csv_non_utf8_names_the_file(tmp_path):
+    data = b"engagement,reward,retention\n0.1,1.0,0\n0.5,\xff,1\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == f"{path}: {utf8_error(data)}"
 
 
 @pytest.mark.parametrize(
@@ -281,6 +329,25 @@ def test_case_study_files_land_together_or_not_at_all(tmp_path):
             write_case_study_files(report, "[]\n", path, matrix)
         assert (report.read_bytes(), cm_path.read_bytes()) == previous
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cm.csv", "report.json"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("other", ["./same.out", "sub/../same.out", "link.out"])
+def test_case_study_files_reject_one_file_named_twice(tmp_path, monkeypatch, existing, other):
+    # Both paths resolve to one file: writing it twice would keep only the
+    # confusion CSV, so the write fails naming the second path, and nothing changes.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+    if existing:
+        (tmp_path / "same.out").write_text("previous\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        write_case_study_files("same.out", "{}\n", other, ConfusionMatrix(tn=1, fp=0, fn=0, tp=1))
+    assert str(err.value) == f"{other}: names the same file as same.out"
+    expected = ["link.out", "same.out", "sub"] if existing else ["link.out", "sub"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    if existing:
+        assert (tmp_path / "same.out").read_text(encoding="utf-8") == "previous\n"
 
 
 # --- pinned loader messages --------------------------------------------------
@@ -493,3 +560,29 @@ def test_fields_nothing_reads_stay_in_the_profile_only():
     assert (cfg.models.reward_frequency.r0, cfg.models.flow.k, cfg.seeds.fit) == (1.0, 0.1, 7)
     assert {"reward_frequency", "flow"}.isdisjoint(f.name for f in fields(TimelineConfig))
     assert "seed" not in {f.name for f in fields(FitConfig)}
+
+
+def _spec_of(record, name):
+    return next(f.metadata["spec"] for f in fields(record) if f.name == name)
+
+
+# Each timeline setting with the record field it feeds: they must share one
+# Spec object, so the loader accepts exactly what timeline_config() and
+# initial_user_state() can build, and never defers an error to them.
+TIMELINE_FEEDS = [
+    *[(TimelineSettings, name, TimelineConfig, name) for name in (
+        "steps", "skill_gain", "engagement_boost", "intervention_threshold",
+        "intervention_reward_multiplier",
+    )],
+    (TimelineSettings, "initial_skill", UserState, "skill"),
+    (EngagementDecayParams, "e0", UserState, "engagement"),
+    (Seeds, "sim", TimelineConfig, "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, name, target, field", TIMELINE_FEEDS,
+    ids=[f"{s.__name__}.{n}->{t.__name__}.{f}" for s, n, t, f in TIMELINE_FEEDS],
+)
+def test_timeline_settings_share_the_spec_of_the_field_they_feed(source, name, target, field):
+    assert _spec_of(source, name) is _spec_of(target, field)

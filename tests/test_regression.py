@@ -252,6 +252,13 @@ def test_split_rejects_out_of_range_fraction(fraction):
         train_test_split(d, fraction, seed=0)
 
 
+def test_split_rejects_a_single_row():
+    d = Dataset([0.5], [5.0], [1])
+    with pytest.raises(ValueError) as err:
+        train_test_split(d, 0.5, seed=0)
+    assert str(err.value) == "dataset must have at least 2 rows to split"
+
+
 def test_split_rejects_degenerate_rounding():
     d = generate_synthetic_dataset(10, seed=0)
     with pytest.raises(ValueError):
