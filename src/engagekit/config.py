@@ -1,13 +1,16 @@
 """JSON run configuration: schema, validation, and assembly.
 
-A run config is a single JSON document with one section per model-parameter
-record plus fit, case-study, timeline, seed, and output sections. The schema
-is the records themselves: each section is a dataclass, and each of its
-fields carries its constraint (kind, bounds, JSON key) in its metadata, the
-same table the record checks when built directly (see ``_spec``). A field
-with no constraint is a nested section. Loading walks that table once and
-reports all violations at once, each named by its field path (e.g.
-``models.diminishing.beta``); unknown keys are violations too.
+A run config is a single JSON document with one section per parameter
+record of the models a timeline runs (diminishing rewards, difficulty,
+retention, decay) plus fit, case-study, timeline, seed, and output sections.
+The reward-frequency and flow kernels take no config: no command reads
+them. The schema is the records themselves: each section is a dataclass,
+and each of its fields carries its constraint (kind, bounds, JSON key) in
+its metadata, the same table the record checks when built directly (see
+``_spec``). A field with no constraint is a nested section. Loading walks
+that table once and reports all violations at once, each named by its field
+path (e.g. ``models.diminishing.beta``); unknown keys are violations too,
+and so is a key given twice in one object of a file.
 
 The packaged ``default_config.json`` is the documented default profile; all
 of its values are configuration, never hard-coded in the model functions.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -27,10 +31,7 @@ from ._spec import (
     AT_LEAST_ONE, INTEGER, NON_EMPTY, NON_NEGATIVE, NUMBER, POSITIVE, POSITIVE_COUNT, UNIT, UNIT_BELOW_ONE,
     UNIT_OPEN, Spec, check_fields,
 )
-from .models import (
-    DiminishingRewardParams, EngagementDecayParams, FlowParams, LogisticDifficultyParams, RetentionParams,
-    RewardFrequencyParams,
-)
+from .models import DiminishingRewardParams, EngagementDecayParams, LogisticDifficultyParams, RetentionParams
 from .rng import SEED
 from .simulator import TimelineConfig, UserState
 
@@ -52,12 +53,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ModelProfile:
-    """One parameter record per closed-form model."""
+    """The parameter records of the models a timeline runs: the four that
+    :class:`~engagekit.simulator.TimelineConfig` takes."""
 
-    reward_frequency: RewardFrequencyParams
     diminishing: DiminishingRewardParams
     difficulty: LogisticDifficultyParams
-    flow: FlowParams
     retention: RetentionParams
     decay: EngagementDecayParams
 
@@ -168,6 +168,7 @@ def _build(cls, raw: dict, path: str, violations: list[str]):
     found = len(violations)
     layout = _layout(cls)
     violations += [f"{path or 'config'}.{key}: unexpected field" for key in raw if key not in layout]
+    violations += [f"{path or 'config'}.{key}: duplicate field" for key in getattr(raw, "duplicates", ())]
     values, sections = {}, []
     for key, (name, spec, record) in layout.items():
         where = f"{path}.{key}" if path else key
@@ -202,14 +203,27 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
+class _JSONObject(dict):
+    """A JSON object that keeps the last value of each key, as json does,
+    and lists the keys it held more than once."""
+
+    __slots__ = ("duplicates",)
+
+    def __init__(self, pairs: list[tuple[str, object]]):
+        super().__init__(pairs)
+        self.duplicates = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Read, parse, and validate a JSON run configuration file.
 
     The file must be UTF-8, as JSON text is (RFC 8259, section 8.1): other
-    bytes are invalid JSON, reported like a syntax error.
+    bytes are invalid JSON, reported like a syntax error. Names within an
+    object should be unique (section 4), so a repeated key is a violation,
+    ``path.key: duplicate field``, reported with all the others.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_JSONObject)
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError([f"{path}: invalid JSON: {err}"]) from err
     return parse_config(raw)

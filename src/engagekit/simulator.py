@@ -40,6 +40,21 @@ whether numpy or the package's pure-Python PCG64 produced them (see
 ``rng``), so neither simulator needs numpy loaded. Traces are therefore
 bit-reproducible for a given seed.
 
+A timeline is two independent chains, and that is part of the contract too.
+The skill chain (stages 1-3: skill -> difficulty -> success -> skill) reads
+the draws, skill_gain, the difficulty parameters and the initial skill, and
+nothing else. The retention chain (stages 4-8: interactions and pending
+multiplier -> reward -> engagement -> retention -> intervention ->
+engagement and pending multiplier) reads no draw, no skill and no success.
+So the engagement, reward_granted, retention_prob and intervened columns do
+not depend on the seed: retention is a deterministic function of the
+initial state and the config. And the skill, success and difficulty columns
+depend on none of the diminishing, retention or decay parameters,
+engagement_boost, the intervention threshold or multiplier, or the initial
+engagement, interactions, cumulative reward and pending multiplier: an
+intervention never changes skill or success. The engine still runs both
+chains in one loop, since two loops would pay for two iterations a step.
+
 Validation happens at entry, not per step. UserState and TimelineConfig
 validate at construction, so one timeline engine, :func:`_advance`, runs all
 steps over plain floats and builds one TimelinePoint per step and no

@@ -1,23 +1,28 @@
 """Tests for JSON configuration loading/validation and CSV persistence."""
 
+import dataclasses
 import errno
 import json
 import os
 import re
+import typing
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from engagekit.cli import main
 from engagekit.config import (
     ConfigError,
+    ModelProfile,
     Seeds,
     TimelineSettings,
     default_config_path,
     load_config,
     parse_config,
 )
-from engagekit.models import EngagementDecayParams
+from engagekit.models import EngagementDecayParams, FlowParams, RewardFrequencyParams
 from engagekit.regression import ConfusionMatrix, FitConfig, generate_synthetic_dataset
 from engagekit.simulator import TimelineConfig, UserState, run_timeline, simulate_session
 from engagekit.storage import (
@@ -122,10 +127,10 @@ def test_integer_fields_reject_floats():
 
 def test_non_number_rejected():
     raw = default_raw()
-    raw["models"]["flow"]["k"] = "high"
+    raw["models"]["difficulty"]["x0"] = "high"
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert any("flow.k" in v for v in err.value.violations)
+    assert any("difficulty.x0" in v for v in err.value.violations)
 
 
 def test_top_level_must_be_object():
@@ -163,6 +168,51 @@ def test_non_utf8_config_is_invalid_json_naming_the_path(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert err.value.violations == [f"{path}: invalid JSON: {utf8_error(data)}"]
+
+
+# Names within a JSON object should be unique (RFC 8259, section 4); a parser
+# that keeps the last copy would let a bad value hide behind a good one.
+DEFAULT_STEPS = '"steps": 200'
+DEFAULT_TIMELINE = re.search(r'"timeline": \{[^}]*\}', default_config_path().read_text(encoding="utf-8"))[0]
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        (DEFAULT_STEPS, '"steps": -5, "steps": 50', ["timeline.steps: duplicate field"]),
+        (DEFAULT_STEPS, '"steps": 50, "steps": -5',
+         ["timeline.steps: duplicate field", "timeline.steps: must be >= 1, got -5"]),
+        (DEFAULT_STEPS, '"steps": 50, "steps": 60, "steps": 70', ["timeline.steps: duplicate field"]),
+        (DEFAULT_TIMELINE, DEFAULT_TIMELINE.replace("200", "-5") + ", " + DEFAULT_TIMELINE,
+         ["config.timeline: duplicate field"]),
+        ('"data": 0', '"data": 0, "extra": 1, "extra": 2',
+         ["seeds.extra: unexpected field", "seeds.extra: duplicate field"]),
+    ],
+    ids=["bad-then-good", "good-then-bad", "three-copies", "bad-section-then-good", "unknown-twice"],
+)
+def test_duplicate_keys_are_violations(tmp_path, old, new, expected):
+    text = default_config_path().read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == expected
+
+
+def test_duplicate_keys_are_reported_with_every_other_violation(tmp_path, capsys):
+    text = default_config_path().read_text(encoding="utf-8")
+    text = text.replace('"beta": 0.3', '"beta": -1, "v0": 10.0').replace('"lambda": 0.1', '"lambda": -1')
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace('"sim": 2025', '"sim": 2025, "sim": 2025'), encoding="utf-8")
+    assert main(["simulate-timeline", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr() == ("", "".join(f"error: {v}\n" for v in [
+        "models.diminishing.v0: duplicate field",
+        "models.diminishing.beta: must be >= 0.0, got -1.0",
+        "models.decay.lambda: must be >= 0.0, got -1.0",
+        "seeds.sim: duplicate field",
+    ]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.json"]
 
 
 # --- CSV persistence ---------------------------------------------------------
@@ -360,15 +410,11 @@ NAN = json.loads("NaN")
 MISSING = object()
 
 FIELD_BOUNDS = [
-    ("models.reward_frequency", "r0", "number",
-     [(0, "must be > 0.0, got 0.0"), (-1.5, "must be > 0.0, got -1.5")]),
-    ("models.reward_frequency", "alpha", "number", []),
     ("models.diminishing", "v0", "number", [(0.0, "must be > 0.0, got 0.0")]),
     ("models.diminishing", "beta", "number", [(-1, "must be >= 0.0, got -1.0")]),
     ("models.difficulty", "d_max", "number", [(-2.0, "must be > 0.0, got -2.0")]),
     ("models.difficulty", "gamma", "number", [(0, "must be > 0.0, got 0.0")]),
     ("models.difficulty", "x0", "number", []),
-    ("models.flow", "k", "number", []),
     ("models.retention", "a", "number", []),
     ("models.retention", "b", "number", []),
     ("models.retention", "c", "number", []),
@@ -410,9 +456,23 @@ WRONG_TYPES = {
 }
 
 SECTIONS = [
-    "models", "models.reward_frequency", "models.diminishing", "models.difficulty",
-    "models.flow", "models.retention", "models.decay",
+    "models", "models.diminishing", "models.difficulty", "models.retention", "models.decay",
     "fit", "case_study", "timeline", "seeds", "output",
+]
+
+# The sections of the closed-form models no command runs, with the values the
+# profile last held: the kernels and their records stay public, but a config
+# that still holds one is refused as a whole, whatever its fields hold, while
+# each record still checks its own fields when built directly.
+REMOVED_SECTIONS = {
+    "models.reward_frequency": RewardFrequencyParams(r0=1.0, alpha=0.05),
+    "models.flow": FlowParams(k=0.1),
+}
+REMOVED_FIELD_BOUNDS = [
+    ("models.reward_frequency", "r0", "number",
+     [(0, "must be > 0.0, got 0.0"), (-1.5, "must be > 0.0, got -1.5")]),
+    ("models.reward_frequency", "alpha", "number", []),
+    ("models.flow", "k", "number", []),
 ]
 
 
@@ -422,17 +482,42 @@ def _section_of(raw: dict, path: str) -> dict:
     return raw
 
 
+def _raw_with(path: str) -> dict:
+    """The default profile, with the removed section at ``path`` put back."""
+    raw = default_raw()
+    if path in REMOVED_SECTIONS:
+        parent, _, key = path.rpartition(".")
+        _section_of(raw, parent)[key] = dataclasses.asdict(REMOVED_SECTIONS[path])
+    return raw
+
+
+def _record_at(path: str):
+    if path in REMOVED_SECTIONS:
+        return REMOVED_SECTIONS[path]
+    record = load_config(default_config_path())
+    for name in path.split("."):
+        record = getattr(record, name)
+    return record
+
+
+def _violation(path: str, key: str, message: str) -> str:
+    """What the loader reports for ``message`` at ``path.key``; a removed
+    section is reported as a whole."""
+    return f"{path}: unexpected field" if path in REMOVED_SECTIONS else f"{path}.{key}: {message}"
+
+
 def _field_cases():
-    for path, key, kind, bounds in FIELD_BOUNDS:
+    for path, key, kind, bounds in FIELD_BOUNDS + REMOVED_FIELD_BOUNDS:
         field = f"{path}.{key}"
-        yield pytest.param(path, key, MISSING, [f"{field}: missing required field"], id=f"{field}-missing")
+        yield pytest.param(
+            path, key, MISSING, [_violation(path, key, "missing required field")], id=f"{field}-missing")
         for value, message in WRONG_TYPES[kind] + bounds:
-            yield pytest.param(path, key, value, [f"{field}: {message}"], id=f"{field}-{value!r}")
+            yield pytest.param(path, key, value, [_violation(path, key, message)], id=f"{field}-{value!r}")
 
 
 @pytest.mark.parametrize("path, key, value, expected", list(_field_cases()))
 def test_field_violation_messages_are_pinned(path, key, value, expected):
-    raw = default_raw()
+    raw = _raw_with(path)
     section = _section_of(raw, path)
     assert key in section
     if value is MISSING:
@@ -444,16 +529,16 @@ def test_field_violation_messages_are_pinned(path, key, value, expected):
     assert err.value.violations == expected
 
 
-@pytest.mark.parametrize("path", ["", *SECTIONS])
+@pytest.mark.parametrize("path", ["", *SECTIONS, *REMOVED_SECTIONS])
 def test_unknown_key_message_is_pinned(path):
-    raw = default_raw()
+    raw = _raw_with(path)
     (_section_of(raw, path) if path else raw)["extra"] = 1
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert err.value.violations == [f"{path or 'config'}.extra: unexpected field"]
+    assert err.value.violations == [_violation(path or "config", "extra", "unexpected field")]
 
 
-@pytest.mark.parametrize("path", SECTIONS)
+@pytest.mark.parametrize("path", [*SECTIONS, *REMOVED_SECTIONS])
 @pytest.mark.parametrize("value", [None, [], 3, "section"])
 def test_section_messages_are_pinned(path, value):
     parent_path, _, key = path.rpartition(".")
@@ -462,8 +547,13 @@ def test_section_messages_are_pinned(path, value):
     parent[key] = value
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert err.value.violations == [f"{path}: must be an object"]
+    removed = path in REMOVED_SECTIONS
+    assert err.value.violations == [f"{path}: {'unexpected field' if removed else 'must be an object'}"]
     del parent[key]
+    if removed:
+        # The profile no longer asks for the section: without it the config is whole.
+        assert parse_config(raw) == parse_config(default_raw())
+        return
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert err.value.violations == [f"{path}: missing required section"]
@@ -482,8 +572,8 @@ def test_violation_order_is_pinned():
     del raw["fit"]
     raw["output"] = "paths"
     raw["models"]["bogus"] = {}
-    del raw["models"]["flow"]
-    raw["models"]["reward_frequency"]["r0"] = 0
+    raw["models"]["flow"] = {"k": 0.1}
+    raw["models"]["diminishing"]["v0"] = 0
     raw["models"]["decay"]["half_life"] = 3
     raw["models"]["decay"]["e0"] = "high"
     raw["models"]["decay"]["lambda"] = -1
@@ -499,8 +589,8 @@ def test_violation_order_is_pinned():
         "fit: missing required section",
         "output: must be an object",
         "models.bogus: unexpected field",
-        "models.flow: missing required section",
-        "models.reward_frequency.r0: must be > 0.0, got 0.0",
+        "models.flow: unexpected field",
+        "models.diminishing.v0: must be > 0.0, got 0.0",
         "models.decay.half_life: unexpected field",
         "models.decay.e0: must be a number, got 'high'",
         "models.decay.lambda: must be >= 0.0, got -1.0",
@@ -516,9 +606,7 @@ def test_violation_order_is_pinned():
     "path, key, value, expected", [case for case in _field_cases() if case.values[2] is not MISSING]
 )
 def test_records_reject_what_the_loader_rejects(path, key, value, expected):
-    record = load_config(default_config_path())
-    for name in path.split("."):
-        record = getattr(record, name)
+    record = _record_at(path)
     name = "lam" if key == "lambda" else key
     with pytest.raises(ValueError, match=f"^{name} must be "):
         replace(record, **{name: value})
@@ -527,20 +615,18 @@ def test_records_reject_what_the_loader_rejects(path, key, value, expected):
 # A JSON integer literal of 309 or more digits is exact in Python but has no
 # float; every number field must report it, not raise OverflowError.
 HUGE = 10**400
-NUMBER_FIELDS = [(path, key) for path, key, kind, _ in FIELD_BOUNDS if kind == "number"]
+NUMBER_FIELDS = [(path, key) for path, key, kind, _ in FIELD_BOUNDS + REMOVED_FIELD_BOUNDS if kind == "number"]
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
 @pytest.mark.parametrize("path, key", NUMBER_FIELDS, ids=[f"{p}.{k}" for p, k in NUMBER_FIELDS])
 def test_integer_too_large_for_a_float_is_a_violation(path, key, sign):
-    raw = default_raw()
+    raw = _raw_with(path)
     _section_of(raw, path)[key] = sign * HUGE
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
-    assert err.value.violations == [f"{path}.{key}: must be finite, got an integer too large for a float"]
-    record = load_config(default_config_path())
-    for name in path.split("."):
-        record = getattr(record, name)
+    assert err.value.violations == [_violation(path, key, "must be finite, got an integer too large for a float")]
+    record = _record_at(path)
     name = "lam" if key == "lambda" else key
     with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer too large for a float$"):
         replace(record, **{name: sign * HUGE})
@@ -549,17 +635,44 @@ def test_integer_too_large_for_a_float_is_a_violation(path, key, sign):
 def test_integer_too_large_for_a_float_from_a_file(tmp_path):
     text = default_config_path().read_text(encoding="utf-8")
     path = tmp_path / "huge.json"
-    path.write_text(re.sub(r'("k":\s*)[0-9.]+', r"\g<1>1" + "0" * 400, text, count=1), encoding="utf-8")
+    path.write_text(re.sub(r'("x0":\s*)[0-9.]+', r"\g<1>1" + "0" * 400, text, count=1), encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         load_config(path)
-    assert err.value.violations == ["models.flow.k: must be finite, got an integer too large for a float"]
+    assert err.value.violations == ["models.difficulty.x0: must be finite, got an integer too large for a float"]
 
 
 def test_fields_nothing_reads_stay_in_the_profile_only():
-    cfg = load_config(default_config_path())
-    assert (cfg.models.reward_frequency.r0, cfg.models.flow.k, cfg.seeds.fit) == (1.0, 0.1, 7)
-    assert {"reward_frequency", "flow"}.isdisjoint(f.name for f in fields(TimelineConfig))
+    assert load_config(default_config_path()).seeds.fit == 7
     assert "seed" not in {f.name for f in fields(FitConfig)}
+
+
+@pytest.mark.parametrize("section", REMOVED_SECTIONS)
+def test_removed_model_sections_are_unexpected(tmp_path, capsys, section):
+    raw = _raw_with(section)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [f"{section}: unexpected field"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["simulate-timeline", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: {section}: unexpected field\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+
+def _record_fields(record) -> list[tuple[str, type]]:
+    hints = typing.get_type_hints(record)
+    return [(f.name, hints[f.name]) for f in fields(record) if "spec" not in f.metadata]
+
+
+def test_model_profile_holds_exactly_the_timeline_model_records():
+    assert _record_fields(ModelProfile) == _record_fields(TimelineConfig)
+    assert [name for name, _ in _record_fields(ModelProfile)] == ["diminishing", "difficulty", "retention", "decay"]
+
+
+def test_readme_profile_is_the_packaged_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    profile = re.search(r"packaged default profile:\n\n```json\n(.*?)```", readme, re.DOTALL)[1]
+    assert json.loads(profile) == default_raw()
 
 
 def _spec_of(record, name):

@@ -5,7 +5,8 @@ UserState per step, built from the public model kernels, looped with
 detect_at_risk and apply_intervention, drawing from the generator one call
 at a time. The simulators draw up front and run over plain floats, so these
 tests pin both the draw discipline and the arithmetic: results must be equal
-(==), not close.
+(==), not close. The chain tests run the simulator against itself: a
+timeline's two chains must not read each other's inputs.
 """
 
 import math
@@ -225,3 +226,31 @@ def test_default_profile_long_timeline_equals_reference(initial_state):
     # on almost every step and the multiplier is armed and consumed in turn.
     cfg = make_timeline_config(steps=5000)
     assert run_timeline(initial_state, cfg) == reference_timeline(initial_state, cfg)
+
+
+# The two chains of the simulator's contract: each column group must come out
+# equal when every input that its chain does not read is changed.
+RETENTION_CHAIN = ("engagement", "reward_granted", "retention_prob", "intervened")
+SKILL_CHAIN = ("skill", "success", "difficulty")
+
+
+def columns(points, names):
+    return [tuple(getattr(point, name) for name in names) for point in points]
+
+
+@settings(max_examples=100, deadline=None)
+@given(initial_states, configs, seeds)
+def test_retention_chain_does_not_depend_on_the_seed(initial, cfg, seed):
+    assert columns(run_timeline(initial, replace(cfg, seed=seed)), RETENTION_CHAIN) == columns(
+        run_timeline(initial, cfg), RETENTION_CHAIN)
+
+
+@settings(max_examples=100, deadline=None)
+@given(initial_states, configs, initial_states, configs)
+def test_skill_chain_reads_only_draws_skill_gain_difficulty_and_skill(initial, cfg, other_initial, other):
+    # other keeps what the skill chain reads from cfg and initial, and draws
+    # every other parameter and initial value afresh.
+    other = replace(other, steps=cfg.steps, difficulty=cfg.difficulty, skill_gain=cfg.skill_gain, seed=cfg.seed)
+    other_initial = replace(other_initial, skill=initial.skill)
+    assert columns(run_timeline(other_initial, other), SKILL_CHAIN) == columns(
+        run_timeline(initial, cfg), SKILL_CHAIN)
