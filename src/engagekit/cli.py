@@ -13,8 +13,13 @@ files. Errors go to stderr; exit status is 0 on success, 2 for configuration
 problems, 1 otherwise.
 
 The numpy-backed modules (``regression``, ``case_study``) are imported only
-inside the commands that use them, so the two simulate commands run without
-importing numpy (see ``rng``).
+inside the command that uses them, ``case-study``. The two simulate commands
+and ``gen-data`` take their doubles by ``rng``'s rule, so they import numpy
+only for more draws than its pure-Python budget holds: ``gen-data`` at
+over 65536 rows. ``gen-data`` writes its rows as it draws them, a chunk at
+a time, instead of building the ``Dataset`` that
+``regression.generate_synthetic_dataset`` returns; its file and stdout are
+that dataset's, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,10 +31,12 @@ import sys
 
 from ._spec import POSITIVE_COUNT
 from .config import CONFIG_ENV_VAR, ConfigError, default_config_path, load_config
+from .rng import SEED, _raw_draws
 from .simulator import run_timeline, simulate_session
 from .storage import (
+    _CHUNK_ROWS,
+    _write_dataset_chunks,
     write_case_study_files,
-    write_dataset_csv,
     write_session_csv,
     write_timeline_csv,
 )
@@ -47,12 +54,34 @@ def _resolve_config_path(explicit: str | None) -> str:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    from .regression import generate_synthetic_dataset
-
-    data = generate_synthetic_dataset(args.n, args.seed)
-    write_dataset_csv(args.out, data)
-    print(f"wrote {len(data)} rows to {args.out} (positive rate {data.positive_rate:.4f})")
+    # n, then the seed, as generate_synthetic_dataset checks them, and both
+    # before the output path is touched: the rows are drawn while they are
+    # written.
+    POSITIVE_COUNT.check("n", args.n)
+    SEED.check("seed", args.seed)
+    positives = _write_dataset_chunks(args.out, _synthetic_chunks(args.n, args.seed))
+    print(f"wrote {args.n} rows to {args.out} (positive rate {positives / args.n:.4f})")
     return 0
+
+
+def _synthetic_chunks(n: int, seed: int):
+    """The rows of ``regression.generate_synthetic_dataset(n, seed)``, bit
+    for bit, as (engagement, reward, retention) lists of at most _CHUNK_ROWS
+    rows each, drawn without numpy where ``rng``'s rule allows.
+
+    The dataset draws n engagements, then n rewards, so row i reads draws i
+    and n + i. Reward is the draw times 10 and the label is the criterion
+    0.5*e + 0.5*r > 5, computed in Python floats with the IEEE operations
+    numpy's ufuncs apply, in the same order, so they round alike.
+    """
+    draws = _raw_draws(seed, 2 * n)
+    for start in range(0, n, _CHUNK_ROWS):
+        engagement = draws[start:start + _CHUNK_ROWS]
+        reward = draws[n + start:n + start + _CHUNK_ROWS]
+        if not isinstance(draws, list):  # numpy's array, converted a chunk at a time
+            engagement, reward = engagement.tolist(), reward.tolist()
+        reward = [x * 10.0 for x in reward]
+        yield engagement, reward, [1 if 0.5 * e + 0.5 * r > 5.0 else 0 for e, r in zip(engagement, reward)]
 
 
 def _cmd_case_study(args: argparse.Namespace) -> int:

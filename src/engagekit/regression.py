@@ -244,6 +244,12 @@ def generate_synthetic_dataset(n: int, seed: int) -> Dataset:
     Labels follow :func:`retention_criterion`, which puts the positive class
     on one side of a linear boundary and yields a 5% positive rate in
     expectation. Deterministic given the seed.
+
+    ``gen-data`` writes these rows without building them here
+    (``cli._synthetic_chunks``), in Python floats and without numpy where it
+    can; ``tests/test_gen_data.py`` holds its file equal to this dataset's.
+    This body stays vectorised: the case-study pipeline calls it with numpy
+    loaded, where building the columns from Python floats only adds time.
     """
     POSITIVE_COUNT.check("n", n)
     rng = make_rng(seed)

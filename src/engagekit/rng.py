@@ -8,12 +8,16 @@ so a given seed yields the same stream on every platform and every numpy
 release that ships it.
 
 :func:`make_rng` returns numpy's ``Generator(PCG64(seed))`` and imports
-numpy when first called. The simulators need nothing but doubles, which
-:func:`_draws` returns as a list of floats. Its two paths give the same
-doubles bit for bit, and it picks one by this rule:
+numpy when first called. The simulators and ``gen-data`` need nothing but
+doubles, which :func:`_raw_draws` returns: a list of floats from the
+pure-Python path, or numpy's float64 array, which a caller that streams its
+output converts a slice at a time (:func:`_draws` converts it whole). The
+two paths give the same doubles bit for bit, and the one taken follows this
+rule:
 
-* numpy's generator, when numpy is already in ``sys.modules`` (drawing
-  through it then costs nothing extra);
+* numpy's generator, when numpy is already imported (drawing through it
+  then costs nothing extra); a ``None`` entry in ``sys.modules``, which
+  blocks the import, does not count;
 * else the pure-Python PCG64 (:func:`_pcg64_random`), as long as this
   process's pure-Python draws, counting this request, stay within
   ``_PURE_BUDGET`` = 2**17. At about 0.7 us a draw, the whole budget costs
@@ -55,14 +59,21 @@ def make_rng(seed: int) -> np.random.Generator:
 def _draws(seed: int, n: int) -> list[float]:
     """``make_rng(seed).random(n).tolist()``, through the path the module
     doc describes."""
+    doubles = _raw_draws(seed, n)
+    return doubles if isinstance(doubles, list) else doubles.tolist()
+
+
+def _raw_draws(seed: int, n: int) -> list[float] | np.ndarray:
+    """``make_rng(seed).random(n)``, through the path the module doc
+    describes: a list from the pure-Python path, else numpy's array."""
     global _pure_drawn
     # Threads racing on the count can only change which path draws, not
     # the doubles.
-    if "numpy" not in sys.modules and _pure_drawn + n <= _PURE_BUDGET:
+    if sys.modules.get("numpy") is None and _pure_drawn + n <= _PURE_BUDGET:
         doubles = _pcg64_random(seed, n)
         _pure_drawn += n
         return doubles
-    return make_rng(seed).random(n).tolist()
+    return make_rng(seed).random(n)
 
 
 def _seed_words(seed: int) -> list[int]:

@@ -9,8 +9,14 @@ All four CSVs are written by one helper, :func:`_write_csv`: a header line,
 then one ``%`` template per row (``%.17g`` per float field, which gives the
 bytes of ``format(float(x), ".17g")``, and ``%d`` per integer or boolean
 field), streamed to ``handle.writelines`` from a generator. Every field is a
-number, so no field needs the csv module's quoting; the module only parses,
-in :func:`read_dataset_csv`, one row at a time.
+number, so no field needs the csv module's quoting. Dataset rows reach the
+helper in chunks of Python scalars (:func:`_write_dataset_chunks`), from a
+``Dataset``'s columns or, in ``gen-data``, straight from the draws.
+
+:func:`read_dataset_csv` hands a file shaped as the writer makes it to
+numpy's C parser, ``np.loadtxt``, and any other file to the csv module's
+reader, one row at a time; where the C parser accepts a file, the two give
+the same dataset.
 
 Every writer is atomic: it writes a temp file in the target's directory and
 moves it over the target with ``os.replace``, so the target holds either its
@@ -23,7 +29,9 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import os
+import warnings
 from contextlib import ExitStack, contextmanager
 from operator import attrgetter
 from pathlib import Path
@@ -68,6 +76,12 @@ _timeline_fields = attrgetter(
 # Dataset rows converted to Python scalars per chunk: converting whole
 # columns at once would hold a list of every value in memory.
 _CHUNK_ROWS = 4096
+
+# What read_dataset_csv hands to numpy's C parser (see _parse_plain).
+_PLAIN_HEADER = (",".join(DATASET_HEADER) + "\n").encode()
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
+_MAX_PLAIN_LINE = 640
+_DATASET_DTYPE = [("engagement", "f8"), ("reward", "f8"), ("retention", "i8")]
 
 
 @contextmanager
@@ -136,19 +150,37 @@ def _write_csv(handle, header: list[str], template: str, rows) -> None:
 def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
     """Write the header and one row per sample; the columns are converted
     to Python scalars _CHUNK_ROWS rows at a time."""
-    with _staged_files() as stage:
-        _write_csv(stage(path), DATASET_HEADER, _DATASET_ROW, _dataset_rows(dataset))
-
-
-def _dataset_rows(dataset: Dataset):
     columns = (dataset.engagement, dataset.reward, dataset.retention)
-    for start in range(0, len(dataset), _CHUNK_ROWS):
-        yield from zip(*(column[start:start + _CHUNK_ROWS].tolist() for column in columns))
+    _write_dataset_chunks(path, ([column[start:start + _CHUNK_ROWS].tolist() for column in columns]
+                                 for start in range(0, len(dataset), _CHUNK_ROWS)))
+
+
+def _write_dataset_chunks(path: str | Path, chunks) -> int:
+    """Write the header, then the rows of each chunk, an (engagement,
+    reward, retention) triple of equal-length lists of Python scalars;
+    return the number of rows labelled 1."""
+    positives = 0
+
+    def rows():
+        nonlocal positives
+        for engagement, reward, retention in chunks:
+            positives += sum(retention)
+            yield from zip(engagement, reward, retention)
+
+    with _staged_files() as stage:
+        _write_csv(stage(path), DATASET_HEADER, _DATASET_ROW, rows())
+    return positives
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:
-    """Parse a dataset CSV written by :func:`write_dataset_csv`, converting
-    each row as the csv reader yields it.
+    """Parse a dataset CSV written by :func:`write_dataset_csv`.
+
+    A plain file, as the writer makes one, is parsed by numpy's C parser
+    (:func:`_parse_plain`); any other file, and a plain one that parser
+    fails on or warns about, by the csv reader a row at a time
+    (:func:`_parse_rows`), which raises the errors below. Files the C
+    parser reads are a subset of those the csv reader reads, with the same
+    values, so both give one Dataset.
 
     Raises:
         ValueError: on a wrong header or a malformed row (named by line),
@@ -156,9 +188,66 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             (a label other than 0 or 1, a non-finite feature), named by the
             file. The first fault in file order is the one reported.
     """
-    import numpy as np  # loaded only to read a dataset, as Dataset is
+    from .regression import Dataset  # loaded only to read a dataset, as numpy is
 
-    from .regression import Dataset
+    columns = _parse_plain(path) or _parse_rows(path)
+    try:
+        return Dataset(*columns)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+def _parse_plain(path: str | Path):
+    """The file's three columns as numpy arrays, parsed in C, or None when
+    the file is not plain or the parser fails on it.
+
+    Plain is the written header line, then newline-ended lines of at most
+    _MAX_PLAIN_LINE bytes drawn from _PLAIN_BYTES. With no quote, space or
+    non-ASCII byte, the csv reader's fields are the comma-separated pieces,
+    and loadtxt parses a float as float() does (both call
+    PyOS_string_to_double) and an integer as int() does. The length bound
+    keeps every field within the csv field size limit and int()'s digit
+    limit (never below 640), which loadtxt does not share. loadtxt skips a
+    blank line, which the csv reader reports, so the rows must number the
+    lines.
+    """
+    import numpy as np
+
+    with open(path, "rb") as handle:
+        header = handle.readline()
+        body = handle.read()
+    limit = min(_MAX_PLAIN_LINE, csv.field_size_limit())
+    if header != _PLAIN_HEADER or body.translate(None, _PLAIN_BYTES) or not _lines_within(body, limit):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=_DATASET_DTYPE, comments=None, ndmin=1)
+    except Exception:  # the csv reader, not numpy, words the fault
+        return None
+    if len(rows) != body.count(b"\n"):
+        return None
+    return rows["engagement"], rows["reward"], rows["retention"]
+
+
+def _lines_within(body: bytes, limit: int) -> bool:
+    """Whether every line of body ends in a newline after at most limit
+    bytes: each window of limit + 1 bytes from a line start must hold a
+    newline, and the next window starts after its last one."""
+    start = 0
+    while start < len(body):
+        end = body.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
+
+
+def _parse_rows(path: str | Path):
+    """The file's three columns as numpy arrays, converting each row as the
+    csv reader yields it; raises read_dataset_csv's errors except those
+    of Dataset."""
+    import numpy as np
 
     engagement, reward, retention = [], [], []
     try:
@@ -179,12 +268,9 @@ def read_dataset_csv(path: str | Path) -> Dataset:
         raise ValueError(f"{path}: {err}") from err
     if not engagement:
         raise ValueError(f"{path}: no data rows")
-    try:
-        # Arrays, so Dataset need not scan the lists for bools: float() and
-        # int() never return one.
-        return Dataset(np.array(engagement), np.array(reward), np.array(retention))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    # Arrays, so Dataset need not scan the lists for bools: float() and
+    # int() never return one.
+    return np.array(engagement), np.array(reward), np.array(retention)
 
 
 def write_session_csv(path: str | Path, steps: list[SessionStep]) -> None:

@@ -5,9 +5,11 @@ same code, so it cannot see output drift across a refactor. These hashes
 pin the bytes themselves: a change that moves any of them must say so and
 update the table deliberately.
 
-The 20,000-step timeline and 20,000-task session are the sizes of the
-benchmark's large CLI commands; 20,000 steps run far into the saturated
-intervention regime, where last-bit drift would accumulate.
+The 20,000-step timeline, 20,000-task session and 100,000-row dataset are
+the sizes of the benchmark's large CLI commands; 20,000 steps run far into
+the saturated intervention regime, where last-bit drift would accumulate,
+and 200,000 draws are past the pure-Python budget, so gen-data takes them
+from numpy even in a fresh interpreter.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ COMMANDS = {
     "simulate-session-20000": ["simulate-session", "--tasks", "20000", "--seed", "0", "--out", "{out}"],
     "simulate-timeline-20000": ["simulate-timeline", "--config", "{config}", "--steps", "20000",
                                 "--out", "{out}"],
+    "gen-data-100000": ["gen-data", "--n", "100000", "--seed", "0", "--out", "{out}"],
 }
 
 # (command, file it writes) -> sha256 of the file's bytes
@@ -42,6 +45,7 @@ GOLDEN = {
     ("simulate-timeline", "out.csv"): "94abbb48fb2e32c10fbeebe42f6701191900744570c477683bc33d78d2aa2f97",
     ("simulate-session-20000", "out.csv"): "9b967fe21e670785f890e1061ebd006ef121f8214924571bc15576d5270d0c07",
     ("simulate-timeline-20000", "out.csv"): "a1d85c4092330af4d45d74b16a54760e01d45d9703f733502b72e87e9b7678c8",
+    ("gen-data-100000", "out.csv"): "2c6d67170a1ff32dd95560564ad90bf5b1538663bac6a68fb0a3c00e5c9207c2",
 }
 
 
@@ -71,11 +75,12 @@ def _imported_modules(importtime_log: str) -> set[str]:
             if line.startswith("import time:") and "|" in line}
 
 
-@pytest.mark.parametrize("command", [c for c in COMMANDS if c.startswith("simulate-")])
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c.startswith("simulate-") or c == "gen-data"])
 def test_simulate_commands_match_golden_hashes_without_numpy(command, tmp_path, capsys):
     # A fresh `python -m engagekit`, whose draws come from the pure-Python
-    # PCG64. -X importtime logs every module the interpreter imports, so
-    # numpy missing from the log means it never entered sys.modules.
+    # PCG64: the simulate commands and README-sized gen-data. -X importtime
+    # logs every module the interpreter imports, so numpy missing from the
+    # log means it never entered sys.modules.
     config = _default_config(tmp_path)
     argv = [arg.format(out=tmp_path / "out.csv", config=config) for arg in COMMANDS[command]]
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "engagekit", *argv], cwd=tmp_path,
