@@ -14,7 +14,12 @@ with :data:`FINITE`, and ``RetentionModel`` its scaler pairs with
 
 Kinds are declared, not read from annotations (which are strings here). A
 number is any finite real (numpy scalars included) and an integer a Python
-int; a bool is neither.
+int; a bool is neither. A record stores a checked number as a Python
+float, whatever real it was given (``float(value)``: an int, a numpy
+scalar or a Fraction is converted, a float is stored as it is), and a
+function gets the same float back from :meth:`Spec.check`. So every
+kernel computes in double: a float32 field or argument never carries its
+own precision into the arithmetic.
 """
 
 from __future__ import annotations
@@ -91,21 +96,27 @@ class Spec:
             return f"must be <= {self.le}, got {value}"
         return None
 
-    def check(self, name: str, value) -> None:
-        """Raise ValueError, naming name, if value breaks this spec."""
+    def check(self, name: str, value):
+        """value as checked: ``float(value)`` for a number, value itself
+        otherwise. Raise ValueError, naming name, if value breaks this spec."""
         exact, lo, hi = self._fast
         if value.__class__ is exact and lo <= value <= hi:
-            return
+            return value
         problem = self.problem(value, _RECORD_INTEGER.get(self.ge, "an integer"))
         if problem is not None:
             raise ValueError(f"{name} {problem}")
+        return float(value) if self.kind == NUMBER else value
 
 
 def check_fields(record) -> None:
     """Raise ValueError for the first field of a dataclass record that
-    breaks its spec. Records use it as their ``__post_init__``."""
+    breaks its spec, and store each checked number as a float. Records use
+    it as their ``__post_init__``."""
     for name, spec in _specs(type(record)):
-        spec.check(name, getattr(record, name))
+        value = getattr(record, name)
+        checked = spec.check(name, value)
+        if checked is not value:
+            object.__setattr__(record, name, checked)
 
 
 @cache

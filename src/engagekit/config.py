@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._spec import (
-    AT_LEAST_ONE, INTEGER, NON_EMPTY, NON_NEGATIVE, NUMBER, POSITIVE, POSITIVE_COUNT, UNIT, UNIT_BELOW_ONE,
+    AT_LEAST_ONE, INTEGER, NON_EMPTY, NON_NEGATIVE, POSITIVE, POSITIVE_COUNT, UNIT, UNIT_BELOW_ONE,
     UNIT_OPEN, Spec, check_fields,
 )
 from .models import DiminishingRewardParams, EngagementDecayParams, LogisticDifficultyParams, RetentionParams
@@ -182,7 +182,7 @@ def _build(cls, raw: dict, path: str, violations: list[str]):
         elif (problem := spec.problem(raw[key])) is not None:
             violations.append(f"{where}: {problem}")
         else:
-            values[name] = float(raw[key]) if spec.kind == NUMBER else raw[key]
+            values[name] = raw[key]
     for name, record, section, where in sections:
         values[name] = _build(record, section, where, violations)
     return cls(**values) if len(violations) == found else None

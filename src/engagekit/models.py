@@ -14,10 +14,11 @@ these functions:
 
 All quantities are 64-bit floats. Parameter records are frozen dataclasses
 whose fields declare their constraints (see ``_spec``), checked at
-construction. Kernel arguments follow the records' number rule: a finite
-real (numpy scalars included); a bool, a string, a Decimal or None raises
-a ValueError naming the argument. Model functions are pure, so identical
-inputs produce bit-identical outputs and concurrent calls are safe.
+construction, and store every number as a Python float. Kernel arguments
+follow the records' number rule: a finite real (numpy scalars included),
+used as a float; a bool, a string, a Decimal or None raises a ValueError
+naming the argument. Model functions are pure, so identical inputs produce
+bit-identical outputs and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ __all__ = [
 # Open-interval bounds for probabilities: the closest doubles to 0 and 1.
 _P_FLOOR = math.nextafter(0.0, 1.0)
 _P_CEIL = math.nextafter(1.0, 0.0)
-
-
-def _finite(name: str, value: float) -> float:
-    """value as a float, after the records' number rule (``_spec.FINITE``)."""
-    FINITE.check(name, value)
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -129,7 +124,7 @@ def sigmoid(z: float) -> float:
     would be exactly 0.0 or 1.0, and this function returns the adjacent
     representable double instead so probability contracts hold everywhere.
     """
-    return _sigmoid(_finite("z", z))
+    return _sigmoid(FINITE.check("z", z))
 
 
 def _sigmoid(z: float) -> float:
@@ -147,8 +142,8 @@ def _sigmoid(z: float) -> float:
 
 def reward_frequency(p: RewardFrequencyParams, t: float) -> float:
     """Reward rate at time t >= 0: r0 * exp(alpha * t)."""
-    NON_NEGATIVE.check("t", t)
-    return p.r0 * math.exp(p.alpha * float(t))
+    t = NON_NEGATIVE.check("t", t)
+    return p.r0 * math.exp(p.alpha * t)
 
 
 def diminishing_reward_value(p: DiminishingRewardParams, n: int) -> float:
@@ -160,27 +155,27 @@ def diminishing_reward_value(p: DiminishingRewardParams, n: int) -> float:
 def logistic_difficulty(p: LogisticDifficultyParams, x: float) -> float:
     """Task difficulty at skill level x, strictly increasing in x and
     bounded by (0, d_max)."""
-    x = _finite("x", x)
+    x = FINITE.check("x", x)
     return p.d_max * sigmoid(p.gamma * (x - p.x0))
 
 
 def flow_challenge(skill: float, p: FlowParams) -> float:
     """Challenge level that keeps a user of the given skill in flow."""
-    return _finite("skill", skill) + p.k
+    return FINITE.check("skill", skill) + p.k
 
 
 def retention_probability(p: RetentionParams, e: float, r: float) -> float:
     """Probability of staying active given engagement e and reward factor r:
     sigmoid(a*e + b*r - c)."""
-    e = _finite("e", e)
-    r = _finite("r", r)
+    e = FINITE.check("e", e)
+    r = FINITE.check("r", r)
     return sigmoid(p.a * e + p.b * r - p.c)
 
 
 def engagement_decay(p: EngagementDecayParams, t: float) -> float:
     """Engagement remaining at time t >= 0: e0 * exp(-lam * t)."""
-    NON_NEGATIVE.check("t", t)
-    return p.e0 * math.exp(-p.lam * float(t))
+    t = NON_NEGATIVE.check("t", t)
+    return p.e0 * math.exp(-p.lam * t)
 
 
 def case_difficulty(engagement: float, reward: float) -> float:
@@ -189,6 +184,6 @@ def case_difficulty(engagement: float, reward: float) -> float:
     Expects engagement on [0, 1] and reward on [0, 10]; the ranges are not
     enforced since the function is well defined for any finite inputs.
     """
-    engagement = _finite("engagement", engagement)
-    reward = _finite("reward", reward)
+    engagement = FINITE.check("engagement", engagement)
+    reward = FINITE.check("reward", reward)
     return sigmoid(engagement + reward - 1.0)

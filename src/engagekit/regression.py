@@ -37,7 +37,7 @@ import numpy as np
 
 from ._spec import COUNT, FINITE, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, check_fields
 from .config import FitConfig
-from .models import _finite, _sigmoid
+from .models import _sigmoid
 from .rng import make_rng
 
 __all__ = [
@@ -204,8 +204,9 @@ class RetentionModel:
             pair = getattr(self, name)
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise ValueError(f"{name} must be a tuple of two numbers, got {pair!r}")
-            spec.check(f"{name}[0]", pair[0])
-            spec.check(f"{name}[1]", pair[1])
+            checked = (spec.check(f"{name}[0]", pair[0]), spec.check(f"{name}[1]", pair[1]))
+            if checked[0] is not pair[0] or checked[1] is not pair[1]:
+                object.__setattr__(self, name, checked)
 
     def scale(self, engagement, reward):
         """Map raw features into the model's standardized space."""
@@ -235,7 +236,7 @@ def retention_criterion(engagement: float, reward: float) -> int:
     Points exactly on the boundary get label 0 (strict inequality). Both
     arguments must be finite numbers; a bool is not one.
     """
-    return int(0.5 * _finite("engagement", engagement) + 0.5 * _finite("reward", reward) > 5.0)
+    return int(0.5 * FINITE.check("engagement", engagement) + 0.5 * FINITE.check("reward", reward) > 5.0)
 
 
 def generate_synthetic_dataset(n: int, seed: int) -> Dataset:
@@ -265,7 +266,7 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
     n = len(d)
     if n < 2:
         raise ValueError("dataset must have at least 2 rows to split")
-    UNIT_OPEN.check("test_fraction", test_fraction)
+    test_fraction = UNIT_OPEN.check("test_fraction", test_fraction)
     n_test = round(test_fraction * n)
     if n_test < 1 or n_test >= n:
         raise ValueError(
@@ -336,17 +337,15 @@ def loss_and_gradient(m: RetentionModel, d: Dataset) -> tuple[float, np.ndarray]
 _STOP_BAND = 1e-12
 
 
-def _stopping_band(tol) -> tuple[float, float]:
+def _stopping_band(tol: float) -> tuple[float, float]:
     """The (lo, hi) band around tol**2 for fit_logistic's stopping test, or
     (nan, nan) where the test must take the ddot form on every epoch: a
     tolerance whose square lies outside [2**-1000, 2**1000] (it underflows,
     overflows, or leaves too little room for the underflow terms of the
-    bound), or one that is neither an int nor a float, since such a number
-    may compare with a Python float in its own precision (a float32 does)."""
-    if isinstance(tol, (int, float)):
-        t2 = float(tol) * float(tol)
-        if 2.0**-1000 <= t2 <= 2.0**1000:
-            return t2 * (1.0 - _STOP_BAND), t2 * (1.0 + _STOP_BAND)
+    bound)."""
+    t2 = tol * tol
+    if 2.0**-1000 <= t2 <= 2.0**1000:
+        return t2 * (1.0 - _STOP_BAND), t2 * (1.0 + _STOP_BAND)
     return math.nan, math.nan
 
 
@@ -388,15 +387,14 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
     3u) and |a| <= 3 * 2**-1075 is what products that land among the
     subnormals lose (adds of doubles are exact there). The two forms thus
     differ by at most 6.01u * T + 2**-1072. The square root's rounding
-    counts 2u on the square, and forming lo and hi from float(tol) at most
+    counts 2u on the square, and forming lo and hi from tol at most
     5u more. That total, under 14u (1.6e-15), lies far inside the band's
     1e-12, and for tol**2 >= 2**-1000 the underflow terms are below
     2**-72 * tol**2. So ``s < lo`` implies ``sqrt(ddot + g_b**2) < tol``
     and ``s >= hi`` implies its negation, an infinite ``s`` included: T is
     then at least 2**1023, so the ddot form's norm is at least 2**511 >
-    tol, as tol**2 <= 2**1000. A tolerance outside that range, or not an
-    int or a float, gets no band (:func:`_stopping_band`), and every epoch
-    takes the ddot form.
+    tol, as tol**2 <= 2**1000. A tolerance outside that range gets no band
+    (:func:`_stopping_band`), and every epoch takes the ddot form.
 
     Raises:
         FitError: if only one class is present or a feature is constant.
@@ -463,8 +461,8 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
 
 def predict_proba(m: RetentionModel, engagement: float, reward: float) -> float:
     """Retention probability for one (engagement, reward) observation."""
-    engagement = _finite("engagement", engagement)
-    reward = _finite("reward", reward)
+    engagement = FINITE.check("engagement", engagement)
+    reward = FINITE.check("reward", reward)
     e, r = m.scale(engagement, reward)
     z = m.w_engagement * e + m.w_reward * r + m.bias
     if not math.isfinite(z):
@@ -474,7 +472,7 @@ def predict_proba(m: RetentionModel, engagement: float, reward: float) -> float:
 
 def predict_label(m: RetentionModel, engagement: float, reward: float, threshold: float = 0.5) -> int:
     """Hard 0/1 prediction; probabilities at or above the threshold map to 1."""
-    UNIT_OPEN.check("threshold", threshold)
+    threshold = UNIT_OPEN.check("threshold", threshold)
     return 1 if predict_proba(m, engagement, reward) >= threshold else 0
 
 

@@ -183,10 +183,11 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     values, so both give one Dataset.
 
     Raises:
-        ValueError: on a wrong header or a malformed row (named by line),
-            on bytes that are not UTF-8, or on values that no Dataset holds
-            (a label other than 0 or 1, a non-finite feature), named by the
-            file. The first fault in file order is the one reported.
+        ValueError: on a wrong header or a malformed row (named by line,
+            as is a field past ``csv.field_size_limit()``), on bytes that
+            are not UTF-8, or on values that no Dataset holds (a label
+            other than 0 or 1, a non-finite feature), named by the file.
+            The first fault in file order is the one reported.
     """
     from .regression import Dataset  # loaded only to read a dataset, as numpy is
 
@@ -266,6 +267,8 @@ def _parse_rows(path: str | Path):
                     raise ValueError(f"{path}:{lineno}: {err}") from err
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from err
+    except csv.Error as err:  # a field past csv.field_size_limit(), say
+        raise ValueError(f"{path}:{rows.line_num}: {err}") from err
     if not engagement:
         raise ValueError(f"{path}: no data rows")
     # Arrays, so Dataset need not scan the lists for bools: float() and

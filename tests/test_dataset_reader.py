@@ -92,6 +92,18 @@ def test_plain_lines_end_within_the_csv_field_size_limit():
         csv.field_size_limit(limit)
 
 
+@pytest.mark.parametrize("text, line", [
+    (HEADER + "0.1,1.0,0\n0." + "0" * 200_000 + "1,1.0,0\n", 3),
+    ("engagement,reward," + "r" * 200_000 + "\n0.1,1.0,0\n", 1),
+], ids=["row", "header"])
+def test_a_field_past_the_csv_field_size_limit_names_its_line(tmp_path, text, line):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == f"{path}:{line}: field larger than field limit ({csv.field_size_limit()})"
+
+
 # Files of number characters: plain rows, with at most one other row among
 # them, so that most files take the C path.
 features = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x)

@@ -1,12 +1,17 @@
 """The records' number rule, applied to kernel arguments, predict_proba's
-observation and RetentionModel's scaler.
+observation and RetentionModel's scaler, and what a record stores.
 
 A number is a finite real (numpy scalars included), never a bool, and an
 integer too large for a float is reported as such; ``_spec.FINITE`` states
 this once. The differential tests hold the checked paths to the code they
-replaced for every number that code accepted.
+replaced for every number that code accepted. A record stores each checked
+number as a Python float, so that a kernel, the timeline engine, the fit
+and the vectorised labels all compute in double whatever real they were
+given.
 """
 
+import dataclasses
+import json
 import math
 import struct
 from decimal import Decimal
@@ -14,21 +19,39 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engagekit import config, models, regression, simulator
+from engagekit._spec import FINITE, NUMBER, POSITIVE, _specs
+from engagekit.config import CaseStudySettings, FitConfig, TimelineSettings
 from engagekit.models import (
+    DiminishingRewardParams,
+    EngagementDecayParams,
     FlowParams,
     LogisticDifficultyParams,
     RetentionParams,
+    RewardFrequencyParams,
     _sigmoid,
     case_difficulty,
+    diminishing_reward_value,
     flow_challenge,
     logistic_difficulty,
     retention_probability,
     sigmoid,
 )
-from engagekit.regression import RetentionModel, predict_proba
+from engagekit.regression import (
+    RetentionModel,
+    _predict_labels,
+    fit_logistic,
+    generate_synthetic_dataset,
+    predict_label,
+    predict_proba,
+    train_test_split,
+)
+from engagekit.simulator import UserState, run_timeline
+
+from conftest import make_timeline_config
 
 _LD = LogisticDifficultyParams(d_max=1.0, gamma=1.0, x0=0.0)
 _RP = RetentionParams(a=1.0, b=1.0, c=1.0)
@@ -183,3 +206,149 @@ def test_kernels_match_the_old_checks_on_every_number(value):
 def test_predict_proba_matches_the_old_checks_on_finite_numbers(engagement, reward):
     assert outcome(predict_proba, _MODEL, engagement, reward) == \
         outcome(old_predict_proba, _MODEL, engagement, reward)
+
+
+# --- a record stores each checked number as a Python float --------------------
+
+F32 = np.float32
+
+
+def test_float32_difficulty_fields_give_the_kernel_the_engines_double():
+    p = LogisticDifficultyParams(d_max=F32(0.9), gamma=F32(1.3), x0=F32(0.4))
+    kernel = logistic_difficulty(p, 0.0)
+    point = run_timeline(UserState(engagement=0.9, skill=0.0), make_timeline_config(steps=1, difficulty=p))[0]
+    assert type(kernel) is float
+    assert kernel == point.difficulty == 0.33556700381195664
+
+
+def test_a_float32_learning_rate_fits_as_its_double():
+    train = train_test_split(generate_synthetic_dataset(400, 0), 0.2, 1).train
+    model = fit_logistic(train, FitConfig(learning_rate=F32(0.5), max_epochs=300))
+    assert type(model.w_engagement) is float and model.w_engagement == 0.7423869370768515
+    assert model == fit_logistic(train, FitConfig(learning_rate=0.5, max_epochs=300))
+    json.dumps(dataclasses.asdict(model))
+
+
+def test_a_float32_scaler_labels_a_row_as_the_vectorised_labels_do():
+    m = RetentionModel(3.0, 7.0, -1.0, (F32(0.5), F32(5.0)), (F32(0.29), F32(2.9)))
+    e, r = 0.0011428193144282783, 7.552245047236755
+    assert predict_proba(m, e, r) == 0.4999999044773309
+    assert predict_label(m, e, r) == _predict_labels(m, np.array([e]), np.array([r]))[0] == 0
+
+
+# A valid instance of every record with a number field; the test below
+# replaces each number field of each one.
+RECORDS = {
+    RewardFrequencyParams: RewardFrequencyParams(r0=1.0, alpha=0.1),
+    DiminishingRewardParams: DiminishingRewardParams(v0=10.0, beta=0.3),
+    LogisticDifficultyParams: LogisticDifficultyParams(d_max=1.0, gamma=1.0, x0=0.5),
+    FlowParams: FlowParams(k=0.5),
+    RetentionParams: RetentionParams(a=0.5, b=0.5, c=1.5),
+    EngagementDecayParams: EngagementDecayParams(e0=0.9, lam=0.1),
+    UserState: UserState(engagement=0.9, skill=0.0),
+    simulator.TimelineConfig: make_timeline_config(),
+    FitConfig: FitConfig(),
+    CaseStudySettings: CaseStudySettings(num_samples=1000, test_fraction=0.2),
+    TimelineSettings: TimelineSettings(200, 0.0, 0.02, 0.3, 0.3, 2.0),
+    RetentionModel: RetentionModel(1.5, 8.0, -9.0, (0.5, 5.0), (0.29, 2.9)),
+}
+
+
+def number_fields(cls):
+    return [(name, spec) for name, spec in _specs(cls) if spec.kind == NUMBER]
+
+
+def test_every_record_with_a_number_field_is_covered():
+    records = {
+        obj for module in (models, simulator, config, regression) for obj in vars(module).values()
+        if dataclasses.is_dataclass(obj) and isinstance(obj, type) and number_fields(obj)
+    }
+    assert records == set(RECORDS)
+
+
+def numbers_within(spec):
+    """Numbers that spec admits, as a float, an int, an np.float64, an
+    np.float32 or a Fraction."""
+    lo, hi = (spec.ge if spec.ge is not None else spec.gt), (spec.le if spec.le is not None else spec.lt)
+    bounds = dict(min_value=lo, max_value=hi, exclude_min=spec.gt is not None, exclude_max=spec.lt is not None)
+    floats = st.floats(allow_nan=False, allow_infinity=False, **bounds)
+    kinds = [
+        floats,
+        floats.map(np.float64),
+        st.floats(width=32, allow_nan=False, allow_infinity=False, **bounds).map(F32),
+        st.fractions(min_value=lo, max_value=hi, max_denominator=10**9),
+        st.integers(-(2**1023) if lo is None else math.ceil(lo), 2**1023 if hi is None else math.floor(hi)),
+    ]
+    return st.one_of(kinds).filter(lambda v: spec.problem(v) is None)
+
+
+def assert_stored(stored, value):
+    assert type(stored) is float and repr(stored) == repr(float(value))
+    if type(value) is float:
+        assert stored is value  # the fast path stores nothing
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_a_record_stores_each_checked_number_as_a_float(data):
+    for cls, base in RECORDS.items():
+        drawn = {name: data.draw(numbers_within(spec), label=f"{cls.__name__}.{name}")
+                 for name, spec in number_fields(cls)}
+        record = dataclasses.replace(base, **drawn)
+        for name, value in drawn.items():
+            assert_stored(getattr(record, name), value)
+    means = data.draw(st.tuples(numbers_within(FINITE), numbers_within(FINITE)), label="feature_means")
+    stds = data.draw(st.tuples(numbers_within(POSITIVE), numbers_within(POSITIVE)), label="feature_stds")
+    model = dataclasses.replace(RECORDS[RetentionModel], feature_means=means, feature_stds=stds)
+    for stored, value in zip(model.feature_means + model.feature_stds, means + stds):
+        assert_stored(stored, value)
+
+
+def mixed(lo, hi):
+    """A number in [lo, hi] as a float, an int, an np.float64, an
+    np.float32 or a Fraction."""
+    floats = st.floats(lo, hi)
+    kinds = [floats, floats.map(np.float64), floats.map(F32), floats.map(Fraction)]
+    if math.ceil(lo) <= math.floor(hi):
+        kinds.append(st.integers(math.ceil(lo), math.floor(hi)))
+    return st.one_of(kinds)
+
+
+mixed_states = st.builds(
+    UserState,
+    engagement=mixed(0.0, 1.0),
+    skill=mixed(0.0, 1.0),
+    cumulative_reward=mixed(0.0, 1e3),
+    pending_reward_multiplier=mixed(1.0, 4.0),
+)
+mixed_configs = st.builds(
+    make_timeline_config,
+    steps=st.integers(min_value=1, max_value=60),
+    diminishing=st.builds(DiminishingRewardParams, v0=mixed(1e-3, 100.0), beta=mixed(0.0, 2.0)),
+    difficulty=st.builds(LogisticDifficultyParams, d_max=mixed(1e-3, 1.0), gamma=mixed(1e-3, 50.0),
+                         x0=mixed(-2.0, 2.0)),
+    retention=st.builds(RetentionParams, a=mixed(-5.0, 5.0), b=mixed(-5.0, 5.0), c=mixed(-5.0, 5.0)),
+    decay=st.builds(EngagementDecayParams, e0=mixed(0.0, 1.0), lam=mixed(0.0, 3.0)),
+    skill_gain=mixed(0.0, 0.9),
+    engagement_boost=mixed(0.0, 2.0),
+    intervention_threshold=st.sampled_from([0.0, 0, F32(0.0)]) | mixed(0.01, 0.9),
+    intervention_reward_multiplier=mixed(1.0, 4.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+
+
+def assert_same_double(engine, kernel):
+    assert type(kernel) is float and repr(engine) == repr(kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_states, mixed_configs)
+def test_run_timeline_equals_the_kernels_on_records_of_any_number_type(initial, cfg):
+    skill, n, pending = initial.skill, initial.interactions, initial.pending_reward_multiplier
+    for point in run_timeline(initial, cfg):
+        assert_same_double(point.difficulty, logistic_difficulty(cfg.difficulty, skill))
+        reward = diminishing_reward_value(cfg.diminishing, n) * pending
+        assert_same_double(point.reward_granted, reward)
+        assert_same_double(point.retention_prob, retention_probability(cfg.retention, point.engagement, reward))
+        skill, n = point.skill, n + 1
+        pending = cfg.intervention_reward_multiplier if point.intervened else 1.0

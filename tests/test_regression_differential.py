@@ -250,24 +250,29 @@ def test_tolerances_at_the_band_edges_agree():
             assert fit_logistic(train, cfg) == reference_fit(train, cfg), (epoch, offset)
 
 
-def test_float32_tolerance_compares_as_numpy_does():
-    # A Python float compared with a float32 is rounded to float32 first, so
-    # a float32 tolerance just above the norm can still fail to stop the
-    # fit. The reference stops where that comparison says; so must the fit.
+def test_float32_tolerance_compares_as_its_double():
+    # FitConfig stores a float32 tolerance as the double it equals, so the
+    # stopping test compares the norm with that double. Were the comparison
+    # made in float32, the norm would round up to the tolerance at the
+    # epoch chosen here and the fit would go on past it.
     train = STOPS_MID_RUN[0]
     gradients = []
     reference_fit(train, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-9), gradients)
     norms = [math.sqrt(g_w @ g_w + g_b * g_b) for g_w, g_b in gradients]
     # The first epoch whose norm float32 rounds up, by far more than the
-    # band, to a new minimum: only that rounding keeps the fit going there.
+    # band, to a new minimum: the double of that float32 stops the fit
+    # there and at no earlier epoch.
     epoch = next(
         i for i in range(1, len(norms))
         if float(np.float32(norms[i])) > norms[i] * (1.0 + 1e-9) and min(norms[:i]) > float(np.float32(norms[i]))
     )
+    tol = float(np.float32(norms[epoch]))
     cfg = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=np.float32(norms[epoch]))
+    assert type(cfg.convergence_tol) is float and cfg.convergence_tol == tol
     model = fit_logistic(train, cfg)
+    assert model == fit_logistic(train, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=tol))
     assert model == reference_fit(train, cfg)
-    assert model.epochs_used > epoch
+    assert model.epochs_used == epoch
 
 
 def test_loose_tolerances_stop_early_and_agree():

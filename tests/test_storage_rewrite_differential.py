@@ -5,9 +5,10 @@ The confusion writer formats its rows with the same ``%`` template helper
 as the other CSV writers; its reference is the ``csv.writer`` it replaced.
 The dataset reader converts each row as ``csv.reader`` yields it; its
 reference, ``two_pass_reader``, is the earlier reader kept verbatim, which
-held every row's strings before converting any. On UTF-8 text both readers
-must return equal datasets or raise the same exception with the same
-message.
+held every row's strings before converting any, except that a csv.Error
+(a field past the field size limit) becomes a ValueError naming the line.
+On UTF-8 text both readers must return equal datasets or raise the same
+ValueError with the same message.
 """
 
 import csv
@@ -63,7 +64,11 @@ def test_confusion_writer_equals_reference(cm):
 
 def two_pass_reader(path):
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+        reader = csv.reader(handle)
+        try:
+            rows = list(reader)
+        except csv.Error as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from err
     if not rows or rows[0] != DATASET_HEADER:
         raise ValueError(f"{path}: expected header {','.join(DATASET_HEADER)}")
     engagement, reward, retention = [], [], []
@@ -90,7 +95,7 @@ def outcome(reader, path):
     """What reader makes of path: ("ok", dataset) or (type, message)."""
     try:
         return "ok", reader(path)
-    except (ValueError, csv.Error) as err:
+    except ValueError as err:
         return type(err), str(err)
 
 
