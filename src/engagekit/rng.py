@@ -24,7 +24,9 @@ rule:
   about what importing numpy does, so a short CLI run never pays for the
   import;
 * else numpy, imported then, so that a huge request, or a long numpy-free
-  loop over many seeds, does not stay on the slow path.
+  loop over many seeds, does not stay on the slow path;
+* else, where numpy cannot be imported, the pure-Python PCG64 past the
+  budget too: a slower run, never a failed one.
 """
 
 from __future__ import annotations
@@ -73,7 +75,11 @@ def _raw_draws(seed: int, n: int) -> list[float] | np.ndarray:
         doubles = _pcg64_random(seed, n)
         _pure_drawn += n
         return doubles
-    return make_rng(seed).random(n)
+    try:
+        rng = make_rng(seed)
+    except ModuleNotFoundError:
+        return _pcg64_random(seed, n)
+    return rng.random(n)
 
 
 def _seed_words(seed: int) -> list[int]:

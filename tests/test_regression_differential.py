@@ -3,12 +3,12 @@
 The reference is the original epoch loop, kept here as it was: a masked,
 branch-on-sign sigmoid that allocates its temporaries, and a loop that builds
 z, p, the residuals and the gradient afresh each epoch. fit_logistic runs
-every epoch through buffers it allocates once, a branch-free sigmoid, a
-Python-float update of the three parameters and a Python-float stopping
-test that calls the ddot only near the tolerance, so these tests pin the
+every epoch through buffers it allocates once, a branch-free sigmoid and a
+Python-float update of the three parameters, so these tests pin the
 arithmetic: the fitted models must be equal (==), not close, and the kernel
-must reproduce the masked form bit for bit. The vectorised labels of
-run_case_study are held to predict_label the same way.
+must reproduce the masked form bit for bit. Both loops stop on the gradient
+norm taken in Python floats (python_norm), which no BLAS call rounds. The
+vectorised labels of run_case_study are held to predict_label the same way.
 """
 
 import math
@@ -45,6 +45,13 @@ def reference_sigmoid_vec(z):
     return out
 
 
+def python_norm(g_w, g_b):
+    """The stopping test's norm: the gradient's squares summed in Python
+    floats, in the order g0, g1, g_b."""
+    g0, g1 = g_w.tolist()
+    return math.sqrt(g0 * g0 + g1 * g1 + g_b * g_b)
+
+
 def reference_fit(train, cfg, gradients=None):
     """The original loop; gradients, if given, collects each epoch's (g_w, g_b)."""
     y = train.retention.astype(np.float64)
@@ -62,7 +69,7 @@ def reference_fit(train, cfg, gradients=None):
         g_b = float(resid.mean())
         if gradients is not None:
             gradients.append((g_w, g_b))
-        if math.sqrt(g_w @ g_w + g_b * g_b) < cfg.convergence_tol:
+        if python_norm(g_w, g_b) < cfg.convergence_tol:
             break
         w -= cfg.learning_rate * g_w
         b -= cfg.learning_rate * g_b
@@ -145,8 +152,10 @@ SATURATES_AND_STOPS = (SEPARABLE, FitConfig(learning_rate=1e3, max_epochs=50, co
 # A larger step saturates every row, so the residuals and the gradient are
 # exactly 0.
 ZERO_GRADIENT = (SEPARABLE, FitConfig(learning_rate=2e3, max_epochs=50, convergence_tol=1e-9))
-# Tolerances whose square underflows (to a subnormal, or to 0, so that only
-# a zero norm passes) or overflows: the stopping test has no band there.
+# Tolerances whose square underflows (to a subnormal, or to 0) or
+# overflows. The stopping test compares the norm with tol itself, so only
+# the norm's own squares can underflow or overflow; these pin that the
+# fit's loop and the reference agree there too.
 TOL_SQUARE_SUBNORMAL = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-170))
 TOL_SQUARE_ZERO = (SEPARABLE, FitConfig(learning_rate=2e3, max_epochs=50, convergence_tol=5e-324))
 TOL_SQUARE_INF = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e200))
@@ -210,41 +219,46 @@ def test_fit_examples_reach_what_they_name():
         assert square < sys.float_info.min or square == math.inf
 
 
-def test_stopping_test_keeps_the_ddot_norm():
-    # g_w @ g_w runs through BLAS ddot, whose last bit can differ from
-    # g0 * g0 + g1 * g1 in Python floats. Put the tolerance between the
-    # two forms of the norm at the first epoch where they differ: the fit
-    # must stop where the ddot form says, which the other form misses by one.
+def test_stopping_test_is_the_python_float_norm():
+    # The fit stops at the first epoch whose Python-float norm is below tol,
+    # on any BLAS. At an epoch k whose norm is a new running minimum, a
+    # tolerance equal to that norm must let the fit run past k (the test is
+    # strict), and the next double up must stop it at k.
     train, cfg = STOPS_MID_RUN[0], FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-9)
     gradients = []
     reference_fit(train, cfg, gradients)
+    norms = [python_norm(g_w, g_b) for g_w, g_b in gradients]
+    minima = [k for k in range(len(norms)) if norms[k] < min(norms[:k], default=math.inf)]
+    for k in (minima[0], minima[1], minima[len(minima) // 2], minima[-1]):
+        at = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=norms[k])
+        assert fit_logistic(train, at).epochs_used > k
+        above = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=math.nextafter(norms[k], math.inf))
+        assert fit_logistic(train, above).epochs_used == k
+    # g_w @ g_w runs through BLAS ddot, whose last bit can differ from
+    # g0 * g0 + g1 * g1 in Python floats. Where this BLAS gives such an
+    # epoch, put the tolerance at the larger of the two norms: the fit stops
+    # where the Python-float norm says, one epoch later if that norm is the
+    # larger one.
     for epoch, (g_w, g_b) in enumerate(gradients):
-        g0, g1 = g_w.tolist()
         ddot = math.sqrt(g_w @ g_w + g_b * g_b)
-        python = math.sqrt(g0 * g0 + g1 * g1 + g_b * g_b)
-        if ddot != python:
+        if ddot != norms[epoch]:
+            tight = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=max(ddot, norms[epoch]))
+            model = fit_logistic(train, tight)
+            assert model == reference_fit(train, tight)
+            assert model.epochs_used == epoch + (norms[epoch] > ddot)
             break
-    else:  # a BLAS without fused multiply-adds: the two forms are one
-        pytest.skip("this BLAS's ddot rounds as Python floats do on every epoch")
-    tight = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=max(ddot, python))
-    model = fit_logistic(train, tight)
-    assert model == reference_fit(train, tight)
-    assert model.epochs_used == epoch + (ddot > python)
 
 
-def test_tolerances_at_the_band_edges_agree():
-    # The fit decides the stopping test in Python floats outside a band of
-    # relative half-width 1e-12 around tol**2 (about 5e-13 on the norm) and
-    # with the ddot inside it. Put the tolerance just inside and just
-    # outside that band, and within a few ulps of the norm, at several
-    # epochs: every fit must stop where the reference stops.
+def test_tolerances_within_ulps_of_the_norm_agree():
+    # Put the tolerance within a few ulps of the norm, and a few 1e-13
+    # (relative) away from it, at several epochs: every fit must stop where
+    # the reference stops.
     train = STOPS_MID_RUN[0]
     gradients = []
     reference_fit(train, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-9), gradients)
     offsets = [k * 2.0**-53 for k in range(-6, 7)] + [k * 1e-13 for k in (-8, -6, -5, -4, 4, 5, 6, 8)]
     for epoch in (0, 1, 8, 57, 399):
-        g_w, g_b = gradients[epoch]
-        norm = math.sqrt(g_w @ g_w + g_b * g_b)
+        norm = python_norm(*gradients[epoch])
         for offset in offsets:
             cfg = FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=norm * (1.0 + offset))
             assert fit_logistic(train, cfg) == reference_fit(train, cfg), (epoch, offset)
@@ -258,9 +272,9 @@ def test_float32_tolerance_compares_as_its_double():
     train = STOPS_MID_RUN[0]
     gradients = []
     reference_fit(train, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1e-9), gradients)
-    norms = [math.sqrt(g_w @ g_w + g_b * g_b) for g_w, g_b in gradients]
-    # The first epoch whose norm float32 rounds up, by far more than the
-    # band, to a new minimum: the double of that float32 stops the fit
+    norms = [python_norm(g_w, g_b) for g_w, g_b in gradients]
+    # The first epoch whose norm float32 rounds up, by more than 1e-9
+    # relative, to a new minimum: the double of that float32 stops the fit
     # there and at no earlier epoch.
     epoch = next(
         i for i in range(1, len(norms))

@@ -74,3 +74,21 @@ print(json.dumps(["numpy" in sys.modules, doubles[:2], doubles[-2:]]))
     expected = make_rng(5).random(_PURE_BUDGET + 1).tolist()
     assert numpy_loaded
     assert head == expected[:2] and tail == expected[-2:]
+
+
+def test_draws_past_the_budget_without_numpy_stay_pure():
+    # Where numpy cannot be imported, a request past the budget, and every
+    # request after it, draws in pure Python with the same doubles. The
+    # reference is the pure-Python PCG64 too, so this runs without numpy.
+    out = run_python(f"""
+import json, sys
+sys.modules["numpy"] = None
+from engagekit.rng import _draws
+past = _draws(5, {_PURE_BUDGET} + 1)
+after = _draws(6, 3)
+print(json.dumps([past[:2], past[-2:], after]))
+""")
+    head, tail, after = json.loads(out)
+    expected = _pcg64_random(5, _PURE_BUDGET + 1)
+    assert head == expected[:2] and tail == expected[-2:]
+    assert after == _pcg64_random(6, 3)
