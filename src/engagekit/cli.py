@@ -12,14 +12,17 @@ deterministic under fixed seeds: repeated invocations produce byte-identical
 files. Errors go to stderr; exit status is 0 on success, 2 for configuration
 problems, 1 otherwise.
 
-The numpy-backed modules (``regression``, ``case_study``) are imported only
-inside the command that uses them, ``case-study``. The two simulate commands
-and ``gen-data`` take their doubles by ``rng``'s rule, so they import numpy
-only for more draws than its pure-Python budget holds: ``gen-data`` at
-over 65536 rows. ``gen-data`` writes its rows as it draws them, a chunk at
-a time, instead of building the ``Dataset`` that
-``regression.generate_synthetic_dataset`` returns; its file and stdout are
-that dataset's, bit for bit.
+Each command imports only the modules it reads: ``gen-data`` loads
+``rng`` and ``storage`` alone; ``simulate-session`` adds ``simulator``;
+``config`` (which imports ``simulator`` and ``models``) comes in with the
+two commands that read a configuration; the numpy-backed modules
+(``regression``, ``case_study``) with ``case-study`` alone. Every command
+takes its random numbers by ``rng``'s rule, so ``numpy.random`` is imported
+only for more draws than the pure-Python budget holds: ``gen-data`` at
+over 131072 rows, never ``case-study`` at its default size. ``gen-data``
+writes its rows as it draws them, a chunk at a time, instead of building
+the ``Dataset`` that ``regression.generate_synthetic_dataset`` returns;
+its file and stdout are that dataset's, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ import os
 import sys
 
 from ._spec import POSITIVE_COUNT
-from .config import CONFIG_ENV_VAR, ConfigError, default_config_path, load_config
 from .rng import SEED, _raw_draws
-from .simulator import run_timeline, simulate_session
 from .storage import (
     _CHUNK_ROWS,
     _write_dataset_chunks,
@@ -44,13 +45,15 @@ from .storage import (
 __all__ = ["main", "build_parser"]
 
 
-def _resolve_config_path(explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    from_env = os.environ.get(CONFIG_ENV_VAR)
-    if from_env:
-        return from_env
-    return str(default_config_path())
+_CONFIG_HELP = "config JSON path (default: $ENGAGEKIT_CONFIG or packaged profile)"
+
+
+def _load_config(explicit: str | None):
+    """The run config, from the path the module doc's resolution order
+    gives."""
+    from .config import CONFIG_ENV_VAR, default_config_path, load_config
+
+    return load_config(explicit or os.environ.get(CONFIG_ENV_VAR) or default_config_path())
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
@@ -87,7 +90,7 @@ def _synthetic_chunks(n: int, seed: int):
 def _cmd_case_study(args: argparse.Namespace) -> int:
     from .case_study import run_case_study
 
-    cfg = load_config(_resolve_config_path(args.config))
+    cfg = _load_config(args.config)
     report = run_case_study(cfg)
     payload = json.dumps(report.to_dict(), indent=2)
     write_case_study_files(cfg.output.report_json, payload + "\n", cfg.output.confusion_csv, report.confusion)
@@ -96,6 +99,8 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_session(args: argparse.Namespace) -> int:
+    from .simulator import simulate_session
+
     POSITIVE_COUNT.check("tasks", args.tasks)
     steps = simulate_session(args.tasks, args.seed)
     write_session_csv(args.out, steps)
@@ -109,7 +114,9 @@ def _cmd_simulate_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_timeline(args: argparse.Namespace) -> int:
-    cfg = load_config(_resolve_config_path(args.config))
+    from .simulator import run_timeline
+
+    cfg = _load_config(args.config)
     timeline_cfg = cfg.timeline_config(steps=args.steps)
     points = run_timeline(cfg.initial_user_state(), timeline_cfg)
     write_timeline_csv(args.out, points)
@@ -136,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("case-study", help="run the retention pipeline and emit a report")
-    p.add_argument("--config", help=f"config JSON path (default: ${CONFIG_ENV_VAR} or packaged profile)")
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.set_defaults(func=_cmd_case_study)
 
     p = sub.add_parser("simulate-session", help="simulate a short task session")
@@ -146,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate_session)
 
     p = sub.add_parser("simulate-timeline", help="simulate a long-horizon user timeline")
-    p.add_argument("--config", help=f"config JSON path (default: ${CONFIG_ENV_VAR} or packaged profile)")
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.add_argument("--steps", type=int, help="override the configured step count")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_simulate_timeline)
@@ -158,11 +165,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        for violation in err.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
+        # Only a command that reads a config imports config, and with it
+        # the ConfigError that lists each violation.
+        config = sys.modules.get(f"{__package__}.config")
+        if config is not None and isinstance(err, config.ConfigError):
+            for violation in err.violations:
+                print(f"error: {violation}", file=sys.stderr)
+            return 2
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -37,7 +37,7 @@ import numpy as np
 from ._spec import COUNT, FINITE, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, check_fields
 from .config import FitConfig
 from .models import _sigmoid
-from .rng import make_rng
+from .rng import _permutation, _raw_draws
 
 __all__ = [
     "Dataset",
@@ -245,16 +245,18 @@ def generate_synthetic_dataset(n: int, seed: int) -> Dataset:
     on one side of a linear boundary and yields a 5% positive rate in
     expectation. Deterministic given the seed.
 
-    ``gen-data`` writes these rows without building them here
-    (``cli._synthetic_chunks``), in Python floats and without numpy where it
-    can; ``tests/test_gen_data.py`` holds its file equal to this dataset's.
-    This body stays vectorised: the case-study pipeline calls it with numpy
-    loaded, where building the columns from Python floats only adds time.
+    The 2n doubles come by ``rng``'s rule, without ``numpy.random`` where
+    it allows: engagement is the first n and reward the next n, as two
+    ``make_rng(seed).random(n)`` calls would give them. ``gen-data``
+    writes these rows without building them here
+    (``cli._synthetic_chunks``), in Python floats and without numpy where
+    it can; ``tests/test_gen_data.py`` holds its file equal to this
+    dataset's.
     """
     POSITIVE_COUNT.check("n", n)
-    rng = make_rng(seed)
-    engagement = rng.random(n)
-    reward = rng.random(n) * 10.0
+    draws = np.asarray(_raw_draws(seed, 2 * n))
+    engagement = draws[:n]
+    reward = draws[n:] * 10.0
     retention = (0.5 * engagement + 0.5 * reward > 5.0).astype(np.int64)
     return Dataset(engagement, reward, retention)
 
@@ -271,7 +273,7 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
         raise ValueError(
             f"test_fraction {test_fraction} leaves a degenerate split ({n_test} of {n} rows)"
         )
-    perm = make_rng(seed).permutation(n)
+    perm = np.asarray(_permutation(seed, n))
     test_idx = perm[:n_test]
     train_idx = perm[n_test:]
     return SplitPair(d.subset(train_idx), d.subset(test_idx), train_idx, test_idx)

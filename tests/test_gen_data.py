@@ -4,10 +4,11 @@
 ``Dataset``, and takes its draws without numpy where ``rng``'s rule allows.
 Its file and its stdout line must still be those of
 ``write_dataset_csv(generate_synthetic_dataset(n, seed))`` and that
-dataset's ``positive_rate``, on the numpy path (in this process, which has
-numpy loaded) and on the pure-Python one (a fresh interpreter where numpy
-cannot be imported, which draws past the pure-Python budget without it).
-Sizes straddle the writer's chunk of 4096 rows and 65536, where the 2n
+dataset's ``positive_rate``, on the numpy path (in this process, which
+loads ``numpy.random`` below) and on the pure-Python one (a fresh
+interpreter where numpy cannot be imported, which draws past the
+pure-Python budget without it).
+Sizes straddle the writer's chunk of 4096 rows and 131072, where the 2n
 draws reach the pure-Python budget.
 """
 
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy.random  # noqa: F401  (rng's rule then draws through numpy here)
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
