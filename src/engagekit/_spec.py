@@ -3,11 +3,14 @@
 A parameter record declares every constraint on its own fields, with
 ``x: float = POSITIVE.field()``: the field's metadata holds a :class:`Spec`
 giving its kind (number, integer or non-empty string), its bounds, and its
-JSON key where that differs from the field name. A record sets
-``__post_init__ = check_fields``, which raises on the first violation; the
-config loader asks :meth:`Spec.problem` about each JSON value and reports
-every violation. Function arguments with the same constraint as a field
-reuse its spec through :meth:`Spec.check`: the model kernels,
+JSON key where that differs from the field name. The rule that makes a
+class a checked record is stated once, as ``@record``: the class becomes a
+frozen dataclass whose ``__post_init__`` is :func:`check_fields`, run
+before the class's own hook where it has one, which raises on the first
+violation. The config loader asks :meth:`Spec.problem` about each JSON
+value and reports every violation in one :class:`ConfigError`. Function
+arguments with the same constraint as a field reuse its spec through
+:meth:`Spec.check`: the model kernels,
 ``predict_proba`` and ``retention_criterion`` check every scalar argument
 with :data:`FINITE`, and ``RetentionModel`` its scaler pairs with
 :data:`FINITE` and :data:`POSITIVE`.
@@ -108,15 +111,38 @@ class Spec:
         return float(value) if self.kind == NUMBER else value
 
 
-def check_fields(record) -> None:
-    """Raise ValueError for the first field of a dataclass record that
-    breaks its spec, and store each checked number as a float. Records use
-    it as their ``__post_init__``."""
-    for name, spec in _specs(type(record)):
-        value = getattr(record, name)
+class ConfigError(ValueError):
+    """Invalid run configuration; carries one message per violation."""
+
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("invalid configuration:\n" + "\n".join(f"  {v}" for v in self.violations))
+
+
+def check_fields(obj) -> None:
+    """Raise ValueError for the first field of a record that breaks its
+    spec, and store each checked number as a float."""
+    for name, spec in _specs(type(obj)):
+        value = getattr(obj, name)
         checked = spec.check(name, value)
         if checked is not value:
-            object.__setattr__(record, name, checked)
+            object.__setattr__(obj, name, checked)
+
+
+def record(cls):
+    """cls as a frozen dataclass that checks its fields when built: its
+    ``__post_init__`` is :func:`check_fields`, followed by the class's own
+    ``__post_init__`` when it defines one."""
+    own = cls.__dict__.get("__post_init__")
+    if own is None:
+        cls.__post_init__ = check_fields
+    else:
+        def __post_init__(self) -> None:
+            check_fields(self)
+            own(self)
+
+        cls.__post_init__ = __post_init__
+    return dataclass(frozen=True)(cls)
 
 
 @cache

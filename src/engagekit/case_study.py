@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._spec import COUNT, FINITE, UNIT, record
 from .config import RunConfig
 from .regression import (
     ConfusionMatrix,
@@ -19,19 +19,24 @@ from .regression import (
 __all__ = ["CaseStudyReport", "run_case_study"]
 
 
-@dataclass(frozen=True)
+@record
 class CaseStudyReport:
-    """Evaluation summary of one pipeline run."""
+    """Evaluation summary of one pipeline run: accuracy is that of the
+    confusion counts, which hold at least one prediction."""
 
-    accuracy: float
+    accuracy: float = UNIT.field()
     confusion: ConfusionMatrix
-    positive_rate: float
-    w_engagement: float
-    w_reward: float
-    bias: float
-    epochs_used: int
+    positive_rate: float = UNIT.field()
+    w_engagement: float = FINITE.field()
+    w_reward: float = FINITE.field()
+    bias: float = FINITE.field()
+    epochs_used: int = COUNT.field()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.confusion, ConfusionMatrix):
+            raise ValueError(f"confusion must be a ConfusionMatrix, got {self.confusion!r}")
+        if self.confusion.total == 0:
+            raise ValueError("confusion must count at least one prediction")
         expected = (self.confusion.tn + self.confusion.tp) / self.confusion.total
         if not math.isclose(self.accuracy, expected, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(

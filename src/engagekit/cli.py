@@ -32,7 +32,7 @@ import json
 import os
 import sys
 
-from ._spec import POSITIVE_COUNT
+from ._spec import POSITIVE_COUNT, ConfigError
 from .rng import SEED, _raw_draws
 from .storage import (
     _CHUNK_ROWS,
@@ -165,14 +165,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ConfigError as err:
+        for violation in err.violations:
+            print(f"error: {violation}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as err:
-        # Only a command that reads a config imports config, and with it
-        # the ConfigError that lists each violation.
-        config = sys.modules.get(f"{__package__}.config")
-        if config is not None and isinstance(err, config.ConfigError):
-            for violation in err.violations:
-                print(f"error: {violation}", file=sys.stderr)
-            return 2
         print(f"error: {err}", file=sys.stderr)
         return 1
 

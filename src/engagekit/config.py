@@ -22,14 +22,13 @@ import dataclasses
 import json
 import typing
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
 
 from ._spec import (
     AT_LEAST_ONE, INTEGER, NON_EMPTY, NON_NEGATIVE, POSITIVE, POSITIVE_COUNT, UNIT, UNIT_BELOW_ONE,
-    UNIT_OPEN, Spec, check_fields,
+    UNIT_OPEN, ConfigError, Spec, record,
 )
 from .models import DiminishingRewardParams, EngagementDecayParams, LogisticDifficultyParams, RetentionParams
 from .rng import SEED
@@ -43,15 +42,7 @@ __all__ = [
 CONFIG_ENV_VAR = "ENGAGEKIT_CONFIG"
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; carries one message per violation."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  {v}" for v in self.violations))
-
-
-@dataclass(frozen=True)
+@record
 class ModelProfile:
     """The parameter records of the models a timeline runs: the four that
     :class:`~engagekit.simulator.TimelineConfig` takes."""
@@ -62,7 +53,7 @@ class ModelProfile:
     decay: EngagementDecayParams
 
 
-@dataclass(frozen=True)
+@record
 class FitConfig:
     """Gradient-descent settings for :func:`engagekit.regression.fit_logistic`,
     which re-exports this class; it lives here so that the config loads
@@ -72,18 +63,14 @@ class FitConfig:
     max_epochs: int = POSITIVE_COUNT.field(5000)
     convergence_tol: float = POSITIVE.field(1e-6)
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class CaseStudySettings:
     num_samples: int = Spec(INTEGER, ge=2).field()
     test_fraction: float = UNIT_OPEN.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class TimelineSettings:
     steps: int = POSITIVE_COUNT.field()
     initial_skill: float = UNIT.field()
@@ -92,10 +79,8 @@ class TimelineSettings:
     intervention_threshold: float = UNIT_BELOW_ONE.field()
     intervention_reward_multiplier: float = AT_LEAST_ONE.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class Seeds:
     """Independent 64-bit seeds, one per pipeline stage. No command reads
     ``fit``: the full-batch fit draws nothing."""
@@ -105,18 +90,14 @@ class Seeds:
     fit: int = SEED.field()
     sim: int = SEED.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class OutputPaths:
     report_json: str = NON_EMPTY.field()
     confusion_csv: str = NON_EMPTY.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class RunConfig:
     models: ModelProfile
     fit: FitConfig

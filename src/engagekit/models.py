@@ -24,9 +24,8 @@ bit-identical outputs and concurrent calls are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._spec import COUNT, FINITE, NON_NEGATIVE, NUMBER, POSITIVE, UNIT, Spec, check_fields
+from ._spec import COUNT, FINITE, NON_NEGATIVE, NUMBER, POSITIVE, UNIT, Spec, record
 
 __all__ = [
     "RewardFrequencyParams",
@@ -50,7 +49,7 @@ _P_FLOOR = math.nextafter(0.0, 1.0)
 _P_CEIL = math.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class RewardFrequencyParams:
     """Exponential reward schedule: r0 rewards per unit time at t=0,
     scaled by exp(alpha * t) as engagement accumulates."""
@@ -58,10 +57,8 @@ class RewardFrequencyParams:
     r0: float = POSITIVE.field()
     alpha: float = FINITE.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class DiminishingRewardParams:
     """Hyperbolic reward decay: v0 points on the first interaction,
     shrinking by a factor 1/(1 + beta*n) after n interactions."""
@@ -69,10 +66,8 @@ class DiminishingRewardParams:
     v0: float = POSITIVE.field()
     beta: float = NON_NEGATIVE.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class LogisticDifficultyParams:
     """Logistic difficulty curve over skill: saturates at d_max, rises at
     rate gamma, centered on the baseline skill level x0."""
@@ -81,19 +76,15 @@ class LogisticDifficultyParams:
     gamma: float = POSITIVE.field()
     x0: float = FINITE.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class FlowParams:
     """Linear challenge-skill balance: challenge sits k units above skill."""
 
     k: float = FINITE.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class RetentionParams:
     """Logistic retention coefficients: a weighs engagement, b weighs
     reward, c is the decision threshold."""
@@ -102,17 +93,13 @@ class RetentionParams:
     b: float = FINITE.field()
     c: float = FINITE.field()
 
-    __post_init__ = check_fields
 
-
-@dataclass(frozen=True)
+@record
 class EngagementDecayParams:
     """Exponential engagement decay from e0 at rate lam per unit time."""
 
     e0: float = UNIT.field()
     lam: float = Spec(NUMBER, ge=0.0, key="lambda").field()
-
-    __post_init__ = check_fields
 
 
 def sigmoid(z: float) -> float:

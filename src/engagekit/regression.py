@@ -34,7 +34,7 @@ from numbers import Real
 
 import numpy as np
 
-from ._spec import COUNT, FINITE, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, check_fields
+from ._spec import COUNT, FINITE, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, record
 from .config import FitConfig
 from .models import _sigmoid
 from .rng import _permutation, _raw_draws
@@ -179,7 +179,7 @@ class SplitPair:
         object.__setattr__(self, "test_indices", _readonly(np.asarray(self.test_indices, dtype=np.int64)))
 
 
-@dataclass(frozen=True)
+@record
 class RetentionModel:
     """Fitted logistic-regression weights plus the feature scaler that the
     weights live in.
@@ -198,7 +198,6 @@ class RetentionModel:
     epochs_used: int = COUNT.field(0)
 
     def __post_init__(self) -> None:
-        check_fields(self)
         for name, spec in (("feature_means", FINITE), ("feature_stds", POSITIVE)):
             pair = getattr(self, name)
             if not (isinstance(pair, tuple) and len(pair) == 2):
@@ -213,7 +212,7 @@ class RetentionModel:
         return (engagement - me) / se, (reward - mr) / sr
 
 
-@dataclass(frozen=True)
+@record
 class ConfusionMatrix:
     """2x2 counts with rows = true label, columns = predicted, order (0, 1)."""
 
@@ -221,8 +220,6 @@ class ConfusionMatrix:
     fp: int = COUNT.field()
     fn: int = COUNT.field()
     tp: int = COUNT.field()
-
-    __post_init__ = check_fields
 
     @property
     def total(self) -> int:

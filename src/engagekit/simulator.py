@@ -100,7 +100,7 @@ from ._spec import (
     UNIT,
     UNIT_BELOW_ONE,
     UNIT_OPEN,
-    check_fields,
+    record,
 )
 from .models import (
     DiminishingRewardParams,
@@ -133,7 +133,7 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
+@record
 class UserState:
     """Evolving user snapshot for timeline simulation.
 
@@ -147,8 +147,6 @@ class UserState:
     interactions: int = COUNT.field(0)
     time: int = COUNT.field(0)
     pending_reward_multiplier: float = AT_LEAST_ONE.field(1.0)
-
-    __post_init__ = check_fields
 
 
 def _frozen_slots(record: type) -> type:
@@ -220,7 +218,7 @@ _OpenSessionStep = _open_twin(SessionStep)
 _OpenTimelinePoint = _open_twin(TimelinePoint)
 
 
-@dataclass(frozen=True)
+@record
 class TimelineConfig:
     """Everything a timeline run needs: the model parameters the step
     dynamics read, the dynamics knobs, and the seed.
@@ -240,8 +238,6 @@ class TimelineConfig:
     intervention_threshold: float = UNIT_BELOW_ONE.field()
     intervention_reward_multiplier: float = AT_LEAST_ONE.field()
     seed: int = SEED.field()
-
-    __post_init__ = check_fields
 
     @property
     def interventions_enabled(self) -> bool:

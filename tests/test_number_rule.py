@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engagekit import config, models, regression, simulator
+from engagekit import case_study, config, models, regression, simulator
 from engagekit._spec import FINITE, NUMBER, POSITIVE, _specs
+from engagekit.case_study import CaseStudyReport
 from engagekit.config import CaseStudySettings, FitConfig, TimelineSettings
 from engagekit.models import (
     DiminishingRewardParams,
@@ -41,6 +42,7 @@ from engagekit.models import (
     sigmoid,
 )
 from engagekit.regression import (
+    ConfusionMatrix,
     RetentionModel,
     _predict_labels,
     fit_logistic,
@@ -251,7 +253,11 @@ RECORDS = {
     CaseStudySettings: CaseStudySettings(num_samples=1000, test_fraction=0.2),
     TimelineSettings: TimelineSettings(200, 0.0, 0.02, 0.3, 0.3, 2.0),
     RetentionModel: RetentionModel(1.5, 8.0, -9.0, (0.5, 5.0), (0.29, 2.9)),
+    CaseStudyReport: CaseStudyReport(0.98, ConfusionMatrix(180, 3, 1, 16), 0.05, 1.5, 8.0, -9.0, 5000),
 }
+# Fields that the record's own check ties to its other fields; the
+# property test below leaves them as they are.
+TIED = {CaseStudyReport: {"accuracy"}}
 
 
 def number_fields(cls):
@@ -260,7 +266,7 @@ def number_fields(cls):
 
 def test_every_record_with_a_number_field_is_covered():
     records = {
-        obj for module in (models, simulator, config, regression) for obj in vars(module).values()
+        obj for module in (models, simulator, config, regression, case_study) for obj in vars(module).values()
         if dataclasses.is_dataclass(obj) and isinstance(obj, type) and number_fields(obj)
     }
     assert records == set(RECORDS)
@@ -293,7 +299,7 @@ def assert_stored(stored, value):
 def test_a_record_stores_each_checked_number_as_a_float(data):
     for cls, base in RECORDS.items():
         drawn = {name: data.draw(numbers_within(spec), label=f"{cls.__name__}.{name}")
-                 for name, spec in number_fields(cls)}
+                 for name, spec in number_fields(cls) if name not in TIED.get(cls, ())}
         record = dataclasses.replace(base, **drawn)
         for name, value in drawn.items():
             assert_stored(getattr(record, name), value)
@@ -302,6 +308,26 @@ def test_a_record_stores_each_checked_number_as_a_float(data):
     model = dataclasses.replace(RECORDS[RetentionModel], feature_means=means, feature_stds=stds)
     for stored, value in zip(model.feature_means + model.feature_stds, means + stds):
         assert_stored(stored, value)
+
+
+@pytest.mark.parametrize(
+    "value, confusion",
+    [(1, ConfusionMatrix(180, 0, 0, 0)), (np.float64(180 / 181), ConfusionMatrix(180, 0, 1, 0)),
+     (Fraction(180, 181), ConfusionMatrix(180, 0, 1, 0))],
+    ids=["int", "float64", "Fraction"],
+)
+def test_a_report_stores_its_accuracy_as_a_float(value, confusion):
+    report = dataclasses.replace(RECORDS[CaseStudyReport], accuracy=value, confusion=confusion)
+    assert_stored(report.accuracy, value)
+
+
+NUMBER_FIELDS = [(cls, name) for cls in RECORDS for name, _ in number_fields(cls)]
+
+
+@pytest.mark.parametrize("cls, name", NUMBER_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in NUMBER_FIELDS])
+def test_a_bool_in_any_number_field_names_the_field(cls, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got True$"):
+        dataclasses.replace(RECORDS[cls], **{name: True})
 
 
 def mixed(lo, hi):

@@ -489,6 +489,28 @@ def test_case_study_report_rejects_accuracy_its_confusion_contradicts(accuracy_v
     assert str(err.value) == f"accuracy {accuracy_value} inconsistent with confusion counts (0.98)"
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(accuracy=0.0, confusion=ConfusionMatrix(0, 0, 0, 0)), "confusion must count at least one prediction"),
+        (dict(w_engagement=None), "w_engagement must be a number, got None"),
+        (dict(epochs_used=-3), "epochs_used must be >= 0, got -3"),
+        (dict(positive_rate="x"), "positive_rate must be a number, got 'x'"),
+        (dict(accuracy=True, confusion=ConfusionMatrix(0, 0, 0, 1)), "accuracy must be a number, got True"),
+        (dict(accuracy=2.0), "accuracy must be <= 1.0, got 2.0"),
+        (dict(confusion=None), "confusion must be a ConfusionMatrix, got None"),
+    ],
+    ids=["empty-confusion", "None-weight", "negative-epochs", "str-rate", "bool-accuracy", "accuracy-above-1",
+         "None-confusion"],
+)
+def test_case_study_report_checks_its_fields(fields, message):
+    report = dict(accuracy=0.98, confusion=ConfusionMatrix(tn=180, fp=3, fn=1, tp=16), positive_rate=0.05,
+                  w_engagement=1.0, w_reward=8.0, bias=-9.0, epochs_used=5000)
+    with pytest.raises(ValueError) as err:
+        CaseStudyReport(**{**report, **fields})
+    assert str(err.value) == message
+
+
 # --- model record validation -------------------------------------------------
 
 def test_retention_model_rejects_zero_std():
