@@ -118,6 +118,9 @@ class ConfigError(ValueError):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(f"  {v}" for v in self.violations))
 
+    def __reduce__(self):
+        return ConfigError, (self.violations,)
+
 
 def check_fields(obj) -> None:
     """Raise ValueError for the first field of a record that breaks its

@@ -8,11 +8,11 @@ from ._spec import COUNT, FINITE, UNIT, record
 from .config import RunConfig
 from .regression import (
     ConfusionMatrix,
-    _predict_labels,
     accuracy,
     confusion,
     fit_logistic,
     generate_synthetic_dataset,
+    predict_label,
     train_test_split,
 )
 
@@ -64,8 +64,9 @@ def run_case_study(cfg: RunConfig) -> CaseStudyReport:
     data = generate_synthetic_dataset(cfg.case_study.num_samples, cfg.seeds.data)
     split = train_test_split(data, cfg.case_study.test_fraction, cfg.seeds.split)
     model = fit_logistic(split.train, cfg.fit)
-    predictions = _predict_labels(model, split.test.engagement, split.test.reward)
-    labels = split.test.retention
+    test = split.test
+    predictions = [predict_label(model, e, r) for e, r in zip(test.engagement.tolist(), test.reward.tolist())]
+    labels = test.retention
     return CaseStudyReport(
         accuracy=accuracy(predictions, labels),
         confusion=confusion(predictions, labels),

@@ -429,39 +429,6 @@ def predict_label(m: RetentionModel, engagement: float, reward: float, threshold
     return 1 if predict_proba(m, engagement, reward) >= threshold else 0
 
 
-# Below this distance from 0 a negative logit is handed to the scalar
-# sigmoid: exp(z) rounds to 1, and p is exactly 0.5, only for z > -2**-53
-# or so, far inside the band.
-_HALF_BAND = 1e-12
-
-
-def _predict_labels(m: RetentionModel, engagement: np.ndarray, reward: np.ndarray) -> np.ndarray:
-    """predict_label(m, e, r) at the default threshold for every row of two
-    finite float64 columns, in one pass (an int64 array of 0s and 1s).
-
-    The logits are the scalar path's doubles: the scaling and the
-    w_engagement * e' + w_reward * r' + bias sum are elementwise IEEE
-    operations in the same order. sigmoid(z) >= 0.5 holds for every z >= 0;
-    for z < 0 it holds only where exp(z) rounds to 1 (p = 1 / 2): otherwise
-    1 + exp(z) rounds above 2 * exp(z) and p to at most 0.5 - 2**-54. So
-    the sign of z decides, except for the negative logits within _HALF_BAND
-    of 0, which go through models._sigmoid as predict_label's do.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf or nan, no warning
-        e, r = m.scale(engagement, reward)
-        z = m.w_engagement * e + m.w_reward * r + m.bias
-    bad = np.flatnonzero(~np.isfinite(z))
-    if len(bad):
-        i = bad[0]
-        raise ValueError(
-            f"engagement {float(engagement[i])!r} and reward {float(reward[i])!r} overflow the model's logit"
-        )
-    labels = (z >= 0.0).astype(np.int64)
-    for i in np.flatnonzero((z < 0.0) & (z >= -_HALF_BAND)).tolist():
-        labels[i] = _sigmoid(float(z[i])) >= 0.5
-    return labels
-
-
 def _check_paired(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
     preds = np.asarray(predictions)
     labs = np.asarray(labels)

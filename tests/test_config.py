@@ -1,9 +1,11 @@
 """Tests for JSON configuration loading/validation and CSV persistence."""
 
+import copy
 import dataclasses
 import errno
 import json
 import os
+import pickle
 import re
 import typing
 from dataclasses import fields, replace
@@ -83,6 +85,16 @@ def test_missing_seed_names_field():
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert any(v.startswith("seeds.fit") for v in err.value.violations)
+
+
+@pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_a_config_error_keeps_its_violations_when_copied(clone):
+    err = ConfigError(["a.b: must be > 0.0, got 0.0", "seeds.sim: missing"])
+    got = clone(err)
+    assert type(got) is ConfigError
+    assert got.violations == err.violations
+    assert str(got) == str(err) == "invalid configuration:\n  a.b: must be > 0.0, got 0.0\n  seeds.sim: missing"
 
 
 def test_all_violations_reported_at_once():

@@ -11,6 +11,7 @@ given.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -44,7 +45,6 @@ from engagekit.models import (
 from engagekit.regression import (
     ConfusionMatrix,
     RetentionModel,
-    _predict_labels,
     fit_logistic,
     generate_synthetic_dataset,
     predict_label,
@@ -231,11 +231,11 @@ def test_a_float32_learning_rate_fits_as_its_double():
     json.dumps(dataclasses.asdict(model))
 
 
-def test_a_float32_scaler_labels_a_row_as_the_vectorised_labels_do():
+def test_a_float32_scaler_labels_a_row_by_its_doubles():
     m = RetentionModel(3.0, 7.0, -1.0, (F32(0.5), F32(5.0)), (F32(0.29), F32(2.9)))
     e, r = 0.0011428193144282783, 7.552245047236755
     assert predict_proba(m, e, r) == 0.4999999044773309
-    assert predict_label(m, e, r) == _predict_labels(m, np.array([e]), np.array([r]))[0] == 0
+    assert predict_label(m, e, r) == 0
 
 
 # A valid instance of every record with a number field; the test below
@@ -272,6 +272,7 @@ def test_every_record_with_a_number_field_is_covered():
     assert records == set(RECORDS)
 
 
+@functools.cache
 def numbers_within(spec):
     """Numbers that spec admits, as a float, an int, an np.float64, an
     np.float32 or a Fraction."""

@@ -7,16 +7,14 @@ every epoch through buffers it allocates once, a branch-free sigmoid and a
 Python-float update of the three parameters, so these tests pin the
 arithmetic: the fitted models must be equal (==), not close, and the kernel
 must reproduce the masked form bit for bit. Both loops stop on the gradient
-norm taken in Python floats (python_norm), which no BLAS call rounds. The
-vectorised labels of run_case_study are held to predict_label the same way.
+norm taken in Python floats (python_norm), which no BLAS call rounds. A last
+test walks predict_proba through the logits next to zero, where p meets 0.5.
 """
 
 import math
-import re
 import sys
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -25,12 +23,10 @@ from engagekit.regression import (
     Dataset,
     FitConfig,
     RetentionModel,
-    _predict_labels,
     _sigmoid_vec,
     fit_logistic,
     generate_synthetic_dataset,
     loss_and_gradient,
-    predict_label,
     predict_proba,
     train_test_split,
 )
@@ -369,36 +365,7 @@ def test_loss_and_gradient_equals_reference(d, weights):
         assert same_bits(grad, ref_grad)
 
 
-def scalar_labels(m, engagement, reward):
-    return [predict_label(m, e, r) for e, r in zip(engagement.tolist(), reward.tolist())]
-
-
-finite_weights = st.floats(-50.0, 50.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.builds(RetentionModel, finite_weights, finite_weights, finite_weights,
-              st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
-              st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0))),
-    st.integers(1, 500), st.integers(0, 2**32 - 1),
-)
-def test_predict_labels_equal_predict_label(m, n, seed):
-    rng = np.random.default_rng(seed)
-    engagement, reward = rng.random(n), rng.random(n) * 10.0
-    labels = _predict_labels(m, engagement, reward)
-    assert labels.dtype == np.int64
-    assert labels.tolist() == scalar_labels(m, engagement, reward)
-
-
-def test_predict_labels_equal_predict_label_on_a_fitted_model():
-    split = train_test_split(generate_synthetic_dataset(2000, seed=7), 0.2, seed=8)
-    m = fit_logistic(split.train, FitConfig(max_epochs=300))
-    test = split.test
-    assert _predict_labels(m, test.engagement, test.reward).tolist() == scalar_labels(m, test.engagement, test.reward)
-
-
-def test_predict_labels_at_logits_next_to_zero():
+def test_predict_proba_at_logits_next_to_zero():
     # The logit is the engagement itself here, so the rows walk z through
     # the region where exp(z) rounds to 1 and p is exactly 0.5, and out of it.
     m = RetentionModel(1.0, 0.0, 0.0, (0.0, 0.0), (1.0, 1.0))
@@ -408,16 +375,6 @@ def test_predict_labels_at_logits_next_to_zero():
     z = np.concatenate([edges, -np.logspace(-18, -10, 2001), np.logspace(-18, -10, 201)])
     reward = np.zeros_like(z)
     assert logits(m, Dataset(z, reward, np.zeros(len(z), dtype=np.int64))).tolist() == z.tolist()
-    assert _predict_labels(m, z, reward).tolist() == scalar_labels(m, z, reward)
     negative = z[z < 0.0].tolist()
     assert any(predict_proba(m, v, 0.0) == 0.5 for v in negative)
     assert any(predict_proba(m, v, 0.0) < 0.5 for v in negative if v > -1e-15)
-
-
-def test_predict_labels_raise_as_predict_label_on_an_overflowing_logit():
-    m = RetentionModel(1e308, 0.0, 0.0, (0.0, 0.0), (1.0, 1.0))
-    engagement, reward = np.array([0.5, 10.0, -20.0]), np.array([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError) as scalar:
-        scalar_labels(m, engagement, reward)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
-        _predict_labels(m, engagement, reward)
