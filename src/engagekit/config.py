@@ -10,7 +10,9 @@ its metadata, the same table the record checks when built directly (see
 ``_spec``). A field with no constraint is a nested section. Loading walks
 that table once and reports all violations at once, each named by its field
 path (e.g. ``models.diminishing.beta``); unknown keys are violations too,
-and so is a key given twice in one object of a file.
+and so is a key given twice in one object of a file. A field whose record
+declares a default may be left out and takes that default; every other
+field, and every section, is required.
 
 The packaged ``default_config.json`` is the documented default profile; all
 of its values are configuration, never hard-coded in the model functions.
@@ -135,11 +137,14 @@ def default_config_path() -> Path:
 
 @cache
 def _layout(cls) -> dict[str, tuple]:
-    """JSON key -> (field name, spec, type) per field of cls; a field with no
-    spec is a nested section of that record type."""
-    specs = {f.name: f.metadata.get("spec") for f in dataclasses.fields(cls)}
-    types = typing.get_type_hints(cls) if None in specs.values() else {}
-    return {spec.key or name if spec else name: (name, spec, types.get(name)) for name, spec in specs.items()}
+    """JSON key -> (field name, spec, type, required) per field of cls; a
+    field with no spec is a nested section of that record type, and a field
+    with a default may be left out."""
+    fields = dataclasses.fields(cls)
+    specs = [f.metadata.get("spec") for f in fields]
+    types = typing.get_type_hints(cls) if None in specs else {}
+    return {spec.key or f.name if spec else f.name:
+            (f.name, spec, types.get(f.name), f.default is dataclasses.MISSING) for f, spec in zip(fields, specs)}
 
 
 def _build(cls, raw: dict, path: str, violations: list[str]):
@@ -151,10 +156,11 @@ def _build(cls, raw: dict, path: str, violations: list[str]):
     violations += [f"{path or 'config'}.{key}: unexpected field" for key in raw if key not in layout]
     violations += [f"{path or 'config'}.{key}: duplicate field" for key in getattr(raw, "duplicates", ())]
     values, sections = {}, []
-    for key, (name, spec, record) in layout.items():
+    for key, (name, spec, record, required) in layout.items():
         where = f"{path}.{key}" if path else key
         if key not in raw:
-            violations.append(f"{where}: missing required {'section' if spec is None else 'field'}")
+            if required:
+                violations.append(f"{where}: missing required {'section' if spec is None else 'field'}")
         elif spec is None:
             if isinstance(raw[key], dict):
                 sections.append((name, record, raw[key], where))

@@ -430,12 +430,19 @@ def predict_label(m: RetentionModel, engagement: float, reward: float, threshold
 
 
 def _check_paired(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Both sequences as arrays, after checking that they are 1-d, equally
+    long and not empty, and hold numbers, not bools."""
     preds = np.asarray(predictions)
     labs = np.asarray(labels)
     if preds.shape != labs.shape or preds.ndim != 1:
         raise ValueError("predictions and labels must be 1-d sequences of equal length")
     if len(preds) == 0:
         raise ValueError("cannot evaluate empty prediction lists")
+    # Checked as given: numpy would turn [True, 0.5] into [1.0, 0.5].
+    for name, values in (("predictions", predictions), ("labels", labels)):
+        got = _non_number(values)
+        if got is not None:
+            raise ValueError(f"{name} must hold numbers, got {got}")
     return preds, labs
 
 

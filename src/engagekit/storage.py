@@ -13,10 +13,8 @@ number, so no field needs the csv module's quoting. Dataset rows reach the
 helper in chunks of Python scalars (:func:`_write_dataset_chunks`), from a
 ``Dataset``'s columns or, in ``gen-data``, straight from the draws.
 
-:func:`read_dataset_csv` hands a file shaped as the writer makes it to
-numpy's C parser, ``np.loadtxt``, and any other file to the csv module's
-reader, one row at a time; where the C parser accepts a file, the two give
-the same dataset.
+:func:`read_dataset_csv` reads a file back with the csv module's reader,
+one row at a time.
 
 Every writer is atomic: it writes a temp file in the target's directory and
 moves it over the target with ``os.replace``, so the target holds either its
@@ -29,9 +27,7 @@ from __future__ import annotations
 
 import csv
 import errno
-import io
 import os
-import warnings
 from contextlib import ExitStack, contextmanager
 from operator import attrgetter
 from pathlib import Path
@@ -76,13 +72,6 @@ _timeline_fields = attrgetter(
 # Dataset rows converted to Python scalars per chunk: converting whole
 # columns at once would hold a list of every value in memory.
 _CHUNK_ROWS = 4096
-
-# What read_dataset_csv hands to numpy's C parser (see _parse_plain).
-_PLAIN_HEADER = (",".join(DATASET_HEADER) + "\n").encode()
-_PLAIN_BYTES = b"0123456789+-.eE,\n"
-_MAX_PLAIN_LINE = 640
-_DATASET_DTYPE = [("engagement", "f8"), ("reward", "f8"), ("retention", "i8")]
-
 
 @contextmanager
 def _staged_files():
@@ -173,14 +162,8 @@ def _write_dataset_chunks(path: str | Path, chunks) -> int:
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:
-    """Parse a dataset CSV written by :func:`write_dataset_csv`.
-
-    A plain file, as the writer makes one, is parsed by numpy's C parser
-    (:func:`_parse_plain`); any other file, and a plain one that parser
-    fails on or warns about, by the csv reader a row at a time
-    (:func:`_parse_rows`), which raises the errors below. Files the C
-    parser reads are a subset of those the csv reader reads, with the same
-    values, so both give one Dataset.
+    """Parse a dataset CSV written by :func:`write_dataset_csv`, converting
+    each row with ``float()`` and ``int()`` as the csv reader yields it.
 
     Raises:
         ValueError: on a wrong header or a malformed row (named by line,
@@ -189,66 +172,9 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             other than 0 or 1, a non-finite feature), named by the file.
             The first fault in file order is the one reported.
     """
+    import numpy as np
+
     from .regression import Dataset  # loaded only to read a dataset, as numpy is
-
-    columns = _parse_plain(path) or _parse_rows(path)
-    try:
-        return Dataset(*columns)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
-
-
-def _parse_plain(path: str | Path):
-    """The file's three columns as numpy arrays, parsed in C, or None when
-    the file is not plain or the parser fails on it.
-
-    Plain is the written header line, then newline-ended lines of at most
-    _MAX_PLAIN_LINE bytes drawn from _PLAIN_BYTES. With no quote, space or
-    non-ASCII byte, the csv reader's fields are the comma-separated pieces,
-    and loadtxt parses a float as float() does (both call
-    PyOS_string_to_double) and an integer as int() does. The length bound
-    keeps every field within the csv field size limit and int()'s digit
-    limit (never below 640), which loadtxt does not share. loadtxt skips a
-    blank line, which the csv reader reports, so the rows must number the
-    lines.
-    """
-    import numpy as np
-
-    with open(path, "rb") as handle:
-        header = handle.readline()
-        body = handle.read()
-    limit = min(_MAX_PLAIN_LINE, csv.field_size_limit())
-    if header != _PLAIN_HEADER or body.translate(None, _PLAIN_BYTES) or not _lines_within(body, limit):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=_DATASET_DTYPE, comments=None, ndmin=1)
-    except Exception:  # the csv reader, not numpy, words the fault
-        return None
-    if len(rows) != body.count(b"\n"):
-        return None
-    return rows["engagement"], rows["reward"], rows["retention"]
-
-
-def _lines_within(body: bytes, limit: int) -> bool:
-    """Whether every line of body ends in a newline after at most limit
-    bytes: each window of limit + 1 bytes from a line start must hold a
-    newline, and the next window starts after its last one."""
-    start = 0
-    while start < len(body):
-        end = body.rfind(b"\n", start, start + limit + 1)
-        if end < 0:
-            return False
-        start = end + 1
-    return True
-
-
-def _parse_rows(path: str | Path):
-    """The file's three columns as numpy arrays, converting each row as the
-    csv reader yields it; raises read_dataset_csv's errors except those
-    of Dataset."""
-    import numpy as np
 
     engagement, reward, retention = [], [], []
     try:
@@ -273,7 +199,11 @@ def _parse_rows(path: str | Path):
         raise ValueError(f"{path}: no data rows")
     # Arrays, so Dataset need not scan the lists for bools: float() and
     # int() never return one.
-    return np.array(engagement), np.array(reward), np.array(retention)
+    columns = np.array(engagement), np.array(reward), np.array(retention)
+    try:
+        return Dataset(*columns)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def write_session_csv(path: str | Path, steps: list[SessionStep]) -> None:

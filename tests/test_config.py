@@ -518,11 +518,15 @@ def _violation(path: str, key: str, message: str) -> str:
     return f"{path}: unexpected field" if path in REMOVED_SECTIONS else f"{path}.{key}: {message}"
 
 
+# The fields whose record declares a default: left out, they load it.
+DEFAULTS = {"fit.learning_rate": 0.5, "fit.max_epochs": 5000, "fit.convergence_tol": 1e-6}
+
+
 def _field_cases():
     for path, key, kind, bounds in FIELD_BOUNDS + REMOVED_FIELD_BOUNDS:
         field = f"{path}.{key}"
-        yield pytest.param(
-            path, key, MISSING, [_violation(path, key, "missing required field")], id=f"{field}-missing")
+        missing = None if field in DEFAULTS else [_violation(path, key, "missing required field")]
+        yield pytest.param(path, key, MISSING, missing, id=f"{field}-missing")
         for value, message in WRONG_TYPES[kind] + bounds:
             yield pytest.param(path, key, value, [_violation(path, key, message)], id=f"{field}-{value!r}")
 
@@ -536,6 +540,12 @@ def test_field_violation_messages_are_pinned(path, key, value, expected):
         del section[key]
     else:
         section[key] = value
+    if expected is None:  # left out, the field takes its record's default
+        record = parse_config(raw)
+        for name in path.split("."):
+            record = getattr(record, name)
+        assert getattr(record, key) == DEFAULTS[f"{path}.{key}"]
+        return
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert err.value.violations == expected

@@ -455,6 +455,19 @@ def test_confusion_rejects_non_binary():
         confusion([0, 2], [0, 1])
 
 
+BOOL_COLUMNS = {"list": [True, False], "array": np.array([True, False])}
+
+
+@pytest.mark.parametrize("metric", [accuracy, confusion])
+@pytest.mark.parametrize("column", BOOL_COLUMNS)
+@pytest.mark.parametrize("side", ["predictions", "labels"])
+def test_metrics_reject_bools(metric, column, side):
+    bools, ints = BOOL_COLUMNS[column], [1, 0]
+    args = (bools, ints) if side == "predictions" else (ints, bools)
+    with pytest.raises(ValueError, match=f"^{side} must hold numbers, got a bool$"):
+        metric(*args)
+
+
 def test_confusion_matrix_validation():
     with pytest.raises(ValueError):
         ConfusionMatrix(tn=-1, fp=0, fn=0, tp=0)
