@@ -79,8 +79,9 @@ def _synthetic_chunks(n: int, seed: int):
     """
     draws = _raw_draws(seed, 2 * n)
     for start in range(0, n, _CHUNK_ROWS):
-        engagement = draws[start:start + _CHUNK_ROWS]
-        reward = draws[n + start:n + start + _CHUNK_ROWS]
+        stop = min(start + _CHUNK_ROWS, n)
+        engagement = draws[start:stop]
+        reward = draws[n + start:n + stop]
         if not isinstance(draws, list):  # numpy's array, converted a chunk at a time
             engagement, reward = engagement.tolist(), reward.tolist()
         reward = [x * 10.0 for x in reward]

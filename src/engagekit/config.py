@@ -7,7 +7,11 @@ The reward-frequency and flow kernels take no config: no command reads
 them. The schema is the records themselves: each section is a dataclass,
 and each of its fields carries its constraint (kind, bounds, JSON key) in
 its metadata, the same table the record checks when built directly (see
-``_spec``). A field with no constraint is a nested section. Loading walks
+``_spec``). A setting that feeds an engine field takes that field's spec
+rather than a copy: the ``timeline`` section's fields those of
+``TimelineConfig`` (``initial_skill`` that of ``UserState.skill``), and
+``seeds.sim`` that of ``TimelineConfig.seed``, so the simulator alone states
+those bounds. A field with no constraint is a nested section. Loading walks
 that table once and reports all violations at once, each named by its field
 path (e.g. ``models.diminishing.beta``); unknown keys are violations too,
 and so is a key given twice in one object of a file. A field whose record
@@ -28,10 +32,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from ._spec import (
-    AT_LEAST_ONE, INTEGER, NON_EMPTY, NON_NEGATIVE, POSITIVE, POSITIVE_COUNT, UNIT, UNIT_BELOW_ONE,
-    UNIT_OPEN, ConfigError, Spec, record,
-)
+from ._spec import INTEGER, NON_EMPTY, POSITIVE, POSITIVE_COUNT, UNIT_OPEN, ConfigError, Spec, _specs, record
 from .models import DiminishingRewardParams, EngagementDecayParams, LogisticDifficultyParams, RetentionParams
 from .rng import SEED
 from .simulator import TimelineConfig, UserState
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 CONFIG_ENV_VAR = "ENGAGEKIT_CONFIG"
+
+_TIMELINE = dict(_specs(TimelineConfig))
+_USER = dict(_specs(UserState))
 
 
 @record
@@ -74,23 +78,29 @@ class CaseStudySettings:
 
 @record
 class TimelineSettings:
-    steps: int = POSITIVE_COUNT.field()
-    initial_skill: float = UNIT.field()
-    skill_gain: float = UNIT_BELOW_ONE.field()
-    engagement_boost: float = NON_NEGATIVE.field()
-    intervention_threshold: float = UNIT_BELOW_ONE.field()
-    intervention_reward_multiplier: float = AT_LEAST_ONE.field()
+    """The timeline's dynamics knobs. Each field takes the constraint of the
+    engine field it feeds: ``initial_skill`` that of
+    :attr:`~engagekit.simulator.UserState.skill`, the others that of the
+    same-named :class:`~engagekit.simulator.TimelineConfig` field."""
+
+    steps: int = _TIMELINE["steps"].field()
+    initial_skill: float = _USER["skill"].field()
+    skill_gain: float = _TIMELINE["skill_gain"].field()
+    engagement_boost: float = _TIMELINE["engagement_boost"].field()
+    intervention_threshold: float = _TIMELINE["intervention_threshold"].field()
+    intervention_reward_multiplier: float = _TIMELINE["intervention_reward_multiplier"].field()
 
 
 @record
 class Seeds:
     """Independent 64-bit seeds, one per pipeline stage. No command reads
-    ``fit``: the full-batch fit draws nothing."""
+    ``fit``: the full-batch fit draws nothing. ``sim`` takes the constraint
+    of :attr:`~engagekit.simulator.TimelineConfig.seed`, the field it feeds."""
 
     data: int = SEED.field()
     split: int = SEED.field()
     fit: int = SEED.field()
-    sim: int = SEED.field()
+    sim: int = _TIMELINE["seed"].field()
 
 
 @record

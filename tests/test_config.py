@@ -17,6 +17,7 @@ import pytest
 from engagekit.cli import main
 from engagekit.config import (
     ConfigError,
+    FitConfig,
     ModelProfile,
     Seeds,
     TimelineSettings,
@@ -25,7 +26,6 @@ from engagekit.config import (
     parse_config,
 )
 from engagekit.models import EngagementDecayParams, FlowParams, RewardFrequencyParams
-from engagekit.regression import ConfusionMatrix, FitConfig, generate_synthetic_dataset
 from engagekit.simulator import TimelineConfig, UserState, run_timeline, simulate_session
 from engagekit.storage import (
     DATASET_HEADER,
@@ -228,15 +228,24 @@ def test_duplicate_keys_are_reported_with_every_other_violation(tmp_path, capsys
 
 
 # --- CSV persistence ---------------------------------------------------------
+#
+# Reading a dataset, a generated dataset and a confusion matrix need numpy:
+# those tests are marked numpy, and import regression themselves.
 
+@pytest.mark.numpy
 def test_dataset_csv_round_trip(tmp_path):
+    from engagekit.regression import generate_synthetic_dataset
+
     data = generate_synthetic_dataset(500, seed=21)
     path = tmp_path / "data.csv"
     write_dataset_csv(path, data)
     assert read_dataset_csv(path) == data
 
 
+@pytest.mark.numpy
 def test_dataset_csv_header_and_count(tmp_path):
+    from engagekit.regression import generate_synthetic_dataset
+
     data = generate_synthetic_dataset(50, seed=2)
     path = tmp_path / "data.csv"
     write_dataset_csv(path, data)
@@ -245,6 +254,7 @@ def test_dataset_csv_header_and_count(tmp_path):
     assert len(lines) == 51
 
 
+@pytest.mark.numpy
 def test_dataset_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -252,6 +262,7 @@ def test_dataset_csv_rejects_wrong_header(tmp_path):
         read_dataset_csv(path)
 
 
+@pytest.mark.numpy
 def test_dataset_csv_rejects_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("engagement,reward,retention\n0.5,oops,1\n", encoding="utf-8")
@@ -260,6 +271,7 @@ def test_dataset_csv_rejects_malformed_row(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("row, count", [("0.5,5.0", 2), ("0.5,5.0,1,1", 4), ("", 0)])
 def test_dataset_csv_wrong_column_count_message(tmp_path, row, count):
     path = tmp_path / "bad.csv"
@@ -269,6 +281,7 @@ def test_dataset_csv_wrong_column_count_message(tmp_path, row, count):
     assert str(err.value) == f"{path}:3: expected 3 columns, got {count}"
 
 
+@pytest.mark.numpy
 def test_dataset_csv_header_only_message(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("engagement,reward,retention\n", encoding="utf-8")
@@ -277,6 +290,7 @@ def test_dataset_csv_header_only_message(tmp_path):
     assert str(err.value) == f"{path}: no data rows"
 
 
+@pytest.mark.numpy
 def test_dataset_csv_non_utf8_names_the_file(tmp_path):
     data = b"engagement,reward,retention\n0.1,1.0,0\n0.5,\xff,1\n"
     path = tmp_path / "latin1.csv"
@@ -286,6 +300,7 @@ def test_dataset_csv_non_utf8_names_the_file(tmp_path):
     assert str(err.value) == f"{path}: {utf8_error(data)}"
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize(
     "row, problem",
     [
@@ -324,7 +339,10 @@ def test_timeline_csv_layout(tmp_path):
     assert len(lines) == 26
 
 
+@pytest.mark.numpy
 def test_confusion_csv_layout(tmp_path):
+    from engagekit.regression import ConfusionMatrix
+
     path = tmp_path / "cm.csv"
     write_confusion_csv(path, ConfusionMatrix(tn=188, fp=0, fn=4, tp=8))
     assert path.read_text(encoding="utf-8") == (
@@ -354,14 +372,20 @@ def test_failed_write_keeps_previous_file(tmp_path, kind):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+@pytest.mark.numpy
 def test_write_onto_directory_fails_before_writing(tmp_path):
+    from engagekit.regression import ConfusionMatrix
+
     with pytest.raises(IsADirectoryError):
         write_confusion_csv(tmp_path, ConfusionMatrix(tn=1, fp=0, fn=0, tp=1))
     assert list(tmp_path.iterdir()) == []
     assert list(tmp_path.parent.glob(f".{tmp_path.name}*")) == []
 
 
+@pytest.mark.numpy
 def test_failed_rename_names_the_target_not_the_temp_file(tmp_path, monkeypatch):
+    from engagekit.regression import ConfusionMatrix
+
     def refuse(src, dst):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
 
@@ -374,7 +398,10 @@ def test_failed_rename_names_the_target_not_the_temp_file(tmp_path, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.numpy
 def test_case_study_files_land_together_or_not_at_all(tmp_path):
+    from engagekit.regression import ConfusionMatrix
+
     report, cm_path = tmp_path / "report.json", tmp_path / "cm.csv"
     cm = ConfusionMatrix(tn=3, fp=0, fn=1, tp=2)
     write_case_study_files(report, "{}\n", cm_path, cm)
@@ -393,9 +420,12 @@ def test_case_study_files_land_together_or_not_at_all(tmp_path):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cm.csv", "report.json"]
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 @pytest.mark.parametrize("other", ["./same.out", "sub/../same.out", "link.out"])
 def test_case_study_files_reject_one_file_named_twice(tmp_path, monkeypatch, existing, other):
+    from engagekit.regression import ConfusionMatrix
+
     # Both paths resolve to one file: writing it twice would keep only the
     # confusion CSV, so the write fails naming the second path, and nothing changes.
     monkeypatch.chdir(tmp_path)
@@ -703,7 +733,8 @@ def _spec_of(record, name):
 
 # Each timeline setting with the record field it feeds: they must share one
 # Spec object, so the loader accepts exactly what timeline_config() and
-# initial_user_state() can build, and never defers an error to them.
+# initial_user_state() can build, never defers an error to them, and names
+# the problem with a bad value as building the engine record does.
 TIMELINE_FEEDS = [
     *[(TimelineSettings, name, TimelineConfig, name) for name in (
         "steps", "skill_gain", "engagement_boost", "intervention_threshold",
@@ -713,6 +744,7 @@ TIMELINE_FEEDS = [
     (EngagementDecayParams, "e0", UserState, "engagement"),
     (Seeds, "sim", TimelineConfig, "seed"),
 ]
+SECTION_OF = {TimelineSettings: "timeline", EngagementDecayParams: "models.decay", Seeds: "seeds"}
 
 
 @pytest.mark.parametrize(
@@ -721,3 +753,16 @@ TIMELINE_FEEDS = [
 )
 def test_timeline_settings_share_the_spec_of_the_field_they_feed(source, name, target, field):
     assert _spec_of(source, name) is _spec_of(target, field)
+    path = SECTION_OF[source]
+    value, problem = next(bounds[0] for where, key, _, bounds in FIELD_BOUNDS if (where, key) == (path, name))
+    raw = default_raw()
+    _section_of(raw, path)[name] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [f"{path}.{name}: {problem}"]
+    cfg = load_config(default_config_path())
+    engine = cfg.initial_user_state() if target is UserState else cfg.timeline_config()
+    with pytest.raises(ValueError) as err:
+        replace(engine, **{field: value})
+    assert str(err.value) == f"{field} {problem}"
+

@@ -24,9 +24,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from engagekit import cli
 from engagekit.cli import main
 from engagekit.regression import generate_synthetic_dataset
-from engagekit.rng import _PURE_BUDGET, MAX_SEED
+from engagekit.rng import _PURE_BUDGET, MAX_SEED, _pcg64_random
 from engagekit.storage import _CHUNK_ROWS, write_dataset_csv
 
 from conftest import subprocess_env
@@ -114,3 +115,16 @@ def test_gen_data_checks_the_seed_before_a_missing_directory(tmp_path, capsys):
     out = tmp_path / "missing" / "data.csv"
     assert main(["gen-data", "--seed", str(MAX_SEED + 1), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: seed must be <= {MAX_SEED}, got {MAX_SEED + 1}\n"
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["numpy", "list"])
+@pytest.mark.parametrize("n", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 5000])
+def test_gen_data_chunks_are_equal_length_lists_summing_to_n(monkeypatch, n, pure):
+    # The writer takes equal-length lists; the last chunk's engagement must
+    # stop at row n, not run on into the reward draws.
+    if pure:
+        monkeypatch.setattr(cli, "_raw_draws", _pcg64_random)
+    chunks = list(cli._synthetic_chunks(n, 7))
+    for engagement, reward, retention in chunks:
+        assert len(engagement) == len(reward) == len(retention) <= _CHUNK_ROWS
+    assert sum(len(engagement) for engagement, _, _ in chunks) == n

@@ -62,7 +62,8 @@ def _default_config(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", [pytest.param(c, marks=pytest.mark.numpy) if c == "case-study" else c
+                                     for c in COMMANDS])
 def test_cli_artifacts_match_golden_hashes(command, tmp_path):
     config = _default_config(tmp_path)
     argv = [arg.format(out=tmp_path / "out.csv", config=config) for arg in COMMANDS[command]]
@@ -106,6 +107,7 @@ def test_simulate_commands_match_golden_hashes_without_numpy(command, tmp_path, 
     assert proc.stdout == capsys.readouterr().out
 
 
+@pytest.mark.numpy
 def test_case_study_matches_golden_hashes_without_numpy_random(tmp_path, capsys):
     # case-study imports numpy for its arrays and its fit, but takes its
     # 2000 doubles and its permutation of 1000 from the pure-Python PCG64,
