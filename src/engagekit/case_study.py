@@ -8,7 +8,6 @@ from ._spec import COUNT, FINITE, UNIT, record
 from .config import RunConfig
 from .regression import (
     ConfusionMatrix,
-    accuracy,
     confusion,
     fit_logistic,
     generate_synthetic_dataset,
@@ -60,16 +59,21 @@ class CaseStudyReport:
 
 
 def run_case_study(cfg: RunConfig) -> CaseStudyReport:
-    """Run the full pipeline under the config's seeds and fit settings."""
+    """Run the full pipeline under the config's seeds and fit settings.
+
+    The test rows are counted once, into the report's confusion matrix, and
+    the report's accuracy is that matrix's ratio (tn + tp) / total, the same
+    double :func:`~engagekit.regression.accuracy` gives for those rows.
+    """
     data = generate_synthetic_dataset(cfg.case_study.num_samples, cfg.seeds.data)
     split = train_test_split(data, cfg.case_study.test_fraction, cfg.seeds.split)
     model = fit_logistic(split.train, cfg.fit)
     test = split.test
     predictions = [predict_label(model, e, r) for e, r in zip(test.engagement.tolist(), test.reward.tolist())]
-    labels = test.retention
+    cm = confusion(predictions, test.retention)
     return CaseStudyReport(
-        accuracy=accuracy(predictions, labels),
-        confusion=confusion(predictions, labels),
+        accuracy=(cm.tn + cm.tp) / cm.total,
+        confusion=cm,
         positive_rate=data.positive_rate,
         w_engagement=model.w_engagement,
         w_reward=model.w_reward,

@@ -453,13 +453,14 @@ def accuracy(predictions, labels) -> float:
 
 
 def confusion(predictions, labels) -> ConfusionMatrix:
-    """Binary confusion counts (rows true, columns predicted, order 0/1)."""
+    """Binary confusion counts (rows true, columns predicted, order 0/1).
+
+    Once both sides are checked to hold only 0 and 1, one counting pass over
+    the cell index ``2 * label + prediction`` gives tn, fp, fn, tp in order.
+    """
     preds, labs = _check_paired(predictions, labels)
     if not (np.isin(preds, (0, 1)).all() and np.isin(labs, (0, 1)).all()):
         raise ValueError("confusion requires binary 0/1 predictions and labels")
-    return ConfusionMatrix(
-        tn=int(np.sum((labs == 0) & (preds == 0))),
-        fp=int(np.sum((labs == 0) & (preds == 1))),
-        fn=int(np.sum((labs == 1) & (preds == 0))),
-        tp=int(np.sum((labs == 1) & (preds == 1))),
-    )
+    cells = 2 * labs.astype(np.int64) + preds.astype(np.int64)
+    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
+    return ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)

@@ -172,10 +172,6 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             other than 0 or 1, a non-finite feature), named by the file.
             The first fault in file order is the one reported.
     """
-    import numpy as np
-
-    from .regression import Dataset  # loaded only to read a dataset, as numpy is
-
     engagement, reward, retention = [], [], []
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -197,6 +193,12 @@ def read_dataset_csv(path: str | Path) -> Dataset:
         raise ValueError(f"{path}:{rows.line_num}: {err}") from err
     if not engagement:
         raise ValueError(f"{path}: no data rows")
+    # Loaded only once the file has parsed, so every fault above is reported
+    # without numpy.
+    import numpy as np
+
+    from .regression import Dataset
+
     # Arrays, so Dataset need not scan the lists for bools: float() and
     # int() never return one.
     columns = np.array(engagement), np.array(reward), np.array(retention)

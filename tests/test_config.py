@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import re
+import sys
 import typing
 from dataclasses import fields, replace
 from pathlib import Path
@@ -229,8 +230,16 @@ def test_duplicate_keys_are_reported_with_every_other_violation(tmp_path, capsys
 
 # --- CSV persistence ---------------------------------------------------------
 #
-# Reading a dataset, a generated dataset and a confusion matrix need numpy:
-# those tests are marked numpy, and import regression themselves.
+# Building a dataset, a generated dataset or a confusion matrix needs numpy:
+# those tests are marked numpy, and import regression themselves. The reader
+# parses the whole file before it loads numpy, so the tests of its format
+# errors block numpy even where it is installed.
+
+@pytest.fixture
+def without_numpy(monkeypatch):
+    """Any import of numpy fails, as where it is not installed."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+
 
 @pytest.mark.numpy
 def test_dataset_csv_round_trip(tmp_path):
@@ -254,15 +263,16 @@ def test_dataset_csv_header_and_count(tmp_path):
     assert len(lines) == 51
 
 
-@pytest.mark.numpy
+@pytest.mark.usefixtures("without_numpy")
 def test_dataset_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         read_dataset_csv(path)
+    assert str(err.value) == f"{path}: expected header engagement,reward,retention"
 
 
-@pytest.mark.numpy
+@pytest.mark.usefixtures("without_numpy")
 def test_dataset_csv_rejects_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("engagement,reward,retention\n0.5,oops,1\n", encoding="utf-8")
@@ -271,7 +281,7 @@ def test_dataset_csv_rejects_malformed_row(tmp_path):
     assert ":2:" in str(err.value)
 
 
-@pytest.mark.numpy
+@pytest.mark.usefixtures("without_numpy")
 @pytest.mark.parametrize("row, count", [("0.5,5.0", 2), ("0.5,5.0,1,1", 4), ("", 0)])
 def test_dataset_csv_wrong_column_count_message(tmp_path, row, count):
     path = tmp_path / "bad.csv"
@@ -281,7 +291,7 @@ def test_dataset_csv_wrong_column_count_message(tmp_path, row, count):
     assert str(err.value) == f"{path}:3: expected 3 columns, got {count}"
 
 
-@pytest.mark.numpy
+@pytest.mark.usefixtures("without_numpy")
 def test_dataset_csv_header_only_message(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("engagement,reward,retention\n", encoding="utf-8")
@@ -290,7 +300,7 @@ def test_dataset_csv_header_only_message(tmp_path):
     assert str(err.value) == f"{path}: no data rows"
 
 
-@pytest.mark.numpy
+@pytest.mark.usefixtures("without_numpy")
 def test_dataset_csv_non_utf8_names_the_file(tmp_path):
     data = b"engagement,reward,retention\n0.1,1.0,0\n0.5,\xff,1\n"
     path = tmp_path / "latin1.csv"

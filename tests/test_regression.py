@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from engagekit.case_study import CaseStudyReport
+from engagekit.case_study import CaseStudyReport, run_case_study
+from engagekit.config import CaseStudySettings, default_config_path, load_config
 from engagekit.regression import (
     ConfusionMatrix,
     Dataset,
@@ -473,13 +474,38 @@ def test_confusion_matrix_validation():
         ConfusionMatrix(tn=-1, fp=0, fn=0, tp=0)
 
 
-@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
-def test_confusion_partitions_and_matches_accuracy(pairs):
-    preds = [p for p, _ in pairs]
-    labels = [l for _, l in pairs]
+def masked_confusion(preds, labels):
+    """Reference counts: one masked sum per cell."""
+    preds, labels = np.asarray(preds), np.asarray(labels)
+    return ConfusionMatrix(
+        tn=int(np.sum((labels == 0) & (preds == 0))),
+        fp=int(np.sum((labels == 0) & (preds == 1))),
+        fn=int(np.sum((labels == 1) & (preds == 0))),
+        tp=int(np.sum((labels == 1) & (preds == 1))),
+    )
+
+
+BINARY_FORMS = {
+    "int-list": lambda bits: bits,
+    "float-list": lambda bits: [float(b) for b in bits],
+    "int64-array": lambda bits: np.array(bits, dtype=np.int64),
+    "float64-array": lambda bits: np.array(bits, dtype=np.float64),
+}
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=500),
+    st.sampled_from(sorted(BINARY_FORMS)),
+    st.sampled_from(sorted(BINARY_FORMS)),
+)
+def test_confusion_partitions_and_matches_accuracy(pairs, pred_form, label_form):
+    preds = BINARY_FORMS[pred_form]([p for p, _ in pairs])
+    labels = BINARY_FORMS[label_form]([l for _, l in pairs])
     cm = confusion(preds, labels)
+    assert cm == masked_confusion(preds, labels)
     assert cm.total == len(pairs)
-    assert accuracy(preds, labels) == pytest.approx((cm.tp + cm.tn) / cm.total, rel=1e-15)
+    assert all(type(count) is int for count in (cm.tn, cm.fp, cm.fn, cm.tp))
+    assert accuracy(preds, labels) == (cm.tn + cm.tp) / cm.total
 
 
 def make_report(accuracy_value, cm):
@@ -522,6 +548,26 @@ def test_case_study_report_checks_its_fields(fields, message):
     with pytest.raises(ValueError) as err:
         CaseStudyReport(**{**report, **fields})
     assert str(err.value) == message
+
+
+# Seeds whose splits hold both labels on each side, so the fit is defined;
+# 500 epochs leave some rows wrong and, at 150 and 300 rows, some predicted 1.
+@pytest.mark.parametrize("num_samples, seed", [(40, 2), (75, 2), (150, 1), (300, 1)])
+def test_case_study_accuracy_is_that_of_its_predictions(num_samples, seed):
+    base = load_config(default_config_path())
+    cfg = replace(
+        base,
+        case_study=CaseStudySettings(num_samples=num_samples, test_fraction=0.2),
+        fit=replace(base.fit, max_epochs=500),
+        seeds=replace(base.seeds, data=seed, split=seed + 100),
+    )
+    report = run_case_study(cfg)
+    data = generate_synthetic_dataset(num_samples, cfg.seeds.data)
+    split = train_test_split(data, 0.2, cfg.seeds.split)
+    model, test = fit_logistic(split.train, cfg.fit), split.test
+    preds = [predict_label(model, e, r) for e, r in zip(test.engagement.tolist(), test.reward.tolist())]
+    assert report.confusion == confusion(preds, test.retention)
+    assert report.accuracy == accuracy(preds, test.retention)
 
 
 # --- model record validation -------------------------------------------------
