@@ -16,13 +16,15 @@ with :data:`FINITE`, and ``RetentionModel`` its scaler pairs with
 :data:`FINITE` and :data:`POSITIVE`.
 
 Kinds are declared, not read from annotations (which are strings here). A
-number is any finite real (numpy scalars included) and an integer a Python
-int; a bool is neither. A record stores a checked number as a Python
-float, whatever real it was given (``float(value)``: an int, a numpy
-scalar or a Fraction is converted, a float is stored as it is), and a
-function gets the same float back from :meth:`Spec.check`. So every
-kernel computes in double: a float32 field or argument never carries its
-own precision into the arithmetic.
+number is any finite real (numpy scalars included) and an integer any
+``Integral`` (numpy integers included); a bool is neither. A record stores
+a checked number as a Python float, whatever real it was given
+(``float(value)``: an int, a numpy scalar or a Fraction is converted, a
+float is stored as it is), and a checked integer as the Python int it
+equals (``int(value)``; an int is stored as it is). A function gets the
+same float or int back from :meth:`Spec.check`. So every kernel computes
+in double, and every count in Python ints: a float32 or int64 field or
+argument never carries its own precision into the arithmetic.
 """
 
 from __future__ import annotations
@@ -32,15 +34,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from numbers import Real
+from numbers import Integral, Real
 
 NUMBER, INTEGER, STRING = "number", "integer", "string"
 
 _MAX = sys.float_info.max
-
-# Direct construction words a count's type error by its sign ("a positive
-# integer"), as the records always have; the loader's says "an integer".
-_RECORD_INTEGER = {0: "a non-negative integer", 1: "a positive integer"}
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,8 @@ class Spec:
     _fast: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # check()'s fast path for an exact float or int: the bounds as one
+        # check()'s fast path for an exact float or int, the type it
+        # converts any other accepted value to, and the bounds as one
         # closed range (no float lies between gt and nextafter(gt, inf)). An
         # unbounded side ends at the largest finite float, shutting out inf
         # and nan; anything outside the range gets problem()'s verdict.
@@ -70,7 +69,7 @@ class Spec:
         """A dataclass field constrained by this spec."""
         return dataclasses.field(default=default, metadata={"spec": self})
 
-    def problem(self, value, integer: str = "an integer") -> str | None:
+    def problem(self, value) -> str | None:
         """What is wrong with value, as ``must be ..., got ...``; None if
         nothing is."""
         if self.kind == NUMBER:
@@ -85,8 +84,10 @@ class Spec:
             if not math.isfinite(value):
                 return f"must be finite, got {value!r}"
         elif self.kind == INTEGER:
-            if isinstance(value, bool) or not isinstance(value, int):
-                return f"must be {integer}, got {value!r}"
+            # int first: the Integral ABC check is slow.
+            if isinstance(value, bool) or not isinstance(value, (int, Integral)):
+                return f"must be an integer, got {value!r}"
+            value = int(value)
         elif not (isinstance(value, str) and value):
             return f"must be a non-empty string, got {value!r}"
         if self.ge is not None and not value >= self.ge:
@@ -100,15 +101,17 @@ class Spec:
         return None
 
     def check(self, name: str, value):
-        """value as checked: ``float(value)`` for a number, value itself
-        otherwise. Raise ValueError, naming name, if value breaks this spec."""
+        """value as checked: ``float(value)`` for a number, ``int(value)``
+        for an integer (an exact float or int is value itself), value
+        itself for a string. Raise ValueError, naming name, if value breaks
+        this spec."""
         exact, lo, hi = self._fast
         if value.__class__ is exact and lo <= value <= hi:
             return value
-        problem = self.problem(value, _RECORD_INTEGER.get(self.ge, "an integer"))
+        problem = self.problem(value)
         if problem is not None:
             raise ValueError(f"{name} {problem}")
-        return float(value) if self.kind == NUMBER else value
+        return value if exact is None else exact(value)
 
 
 class ConfigError(ValueError):
@@ -124,7 +127,8 @@ class ConfigError(ValueError):
 
 def check_fields(obj) -> None:
     """Raise ValueError for the first field of a record that breaks its
-    spec, and store each checked number as a float."""
+    spec, and store each checked number as a float and each checked
+    integer as an int."""
     for name, spec in _specs(type(obj)):
         value = getattr(obj, name)
         checked = spec.check(name, value)

@@ -135,7 +135,7 @@ def reward_frequency(p: RewardFrequencyParams, t: float) -> float:
 
 def diminishing_reward_value(p: DiminishingRewardParams, n: int) -> float:
     """Reward value after n interactions: v0 / (1 + beta * n)."""
-    COUNT.check("n", n)
+    n = COUNT.check("n", n)
     return p.v0 / (1.0 + p.beta * n)
 
 

@@ -250,7 +250,7 @@ def generate_synthetic_dataset(n: int, seed: int) -> Dataset:
     it can; ``tests/test_gen_data.py`` holds its file equal to this
     dataset's.
     """
-    POSITIVE_COUNT.check("n", n)
+    n = POSITIVE_COUNT.check("n", n)
     draws = np.asarray(_raw_draws(seed, 2 * n))
     engagement = draws[:n]
     reward = draws[n:] * 10.0

@@ -14,8 +14,9 @@ a list of floats from the pure-Python path, or numpy's float64 array,
 which a caller that streams its output converts a slice at a time
 (:func:`_draws` converts it whole). :func:`_permutation` returns
 ``make_rng(seed).permutation(n)``, a list of ints or numpy's array. The
-two paths give the same numbers, bit for bit, and take a numpy integer
-seed as the int it holds. The one taken follows this rule:
+two paths give the same numbers, bit for bit. Both take the seed that
+:data:`SEED` returns, so a numpy integer seed is the int it holds. The one
+taken follows this rule:
 
 * numpy's generator, when ``numpy.random`` is already imported; a ``None``
   entry in ``sys.modules``, which blocks the import, does not count. The
@@ -70,16 +71,8 @@ def make_rng(seed: int) -> np.random.Generator:
     """Return a fresh PCG64-backed generator for a 64-bit unsigned seed."""
     import numpy as np
 
-    seed = SEED.check("seed", _plain(seed))
+    seed = SEED.check("seed", seed)
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _plain(seed):
-    """A numpy integer seed as the int it holds, as numpy's seeding reads
-    it, so that both paths take it; any other seed as it is, for
-    :data:`SEED` to check."""
-    np = sys.modules.get("numpy")
-    return int(seed) if np is not None and isinstance(seed, np.integer) else seed
 
 
 def _draws(seed: int, n: int) -> list[float]:
@@ -105,7 +98,6 @@ def _by_rule(seed: int, n: int, pure, method: str):
     """pure(seed, n) or ``getattr(make_rng(seed), method)(n)``, by the
     module doc's rule; n counts against the budget."""
     global _pure_drawn
-    seed = _plain(seed)
     # Threads racing on the count can only change which path draws, not
     # the result.
     if sys.modules.get("numpy.random") is None and _pure_drawn + n <= _PURE_BUDGET:
@@ -153,7 +145,7 @@ def _seed_words(seed: int) -> list[int]:
 def _pcg64_seeded(seed: int) -> tuple[int, int]:
     """PCG64's 128-bit (state, increment) as numpy seeds it from seed,
     before the first output."""
-    SEED.check("seed", seed)
+    seed = SEED.check("seed", seed)
     w = _seed_words(seed)
     # generate_state(4, uint64) is the words read little-endian in pairs;
     # PCG64 takes the first two as the initial state, the last two as the

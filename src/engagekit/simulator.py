@@ -251,7 +251,7 @@ def simulate_session(num_tasks: int, seed: int) -> list[SessionStep]:
     session kernel, success with probability 1 - difficulty. Deterministic
     given the seed.
     """
-    POSITIVE_COUNT.check("num_tasks", num_tasks)
+    num_tasks = POSITIVE_COUNT.check("num_tasks", num_tasks)
     steps = []
     append, open_step, record = steps.append, _OpenSessionStep, SessionStep
     draws = iter(_draws(seed, 3 * num_tasks))

@@ -764,15 +764,18 @@ SECTION_OF = {TimelineSettings: "timeline", EngagementDecayParams: "models.decay
 def test_timeline_settings_share_the_spec_of_the_field_they_feed(source, name, target, field):
     assert _spec_of(source, name) is _spec_of(target, field)
     path = SECTION_OF[source]
-    value, problem = next(bounds[0] for where, key, _, bounds in FIELD_BOUNDS if (where, key) == (path, name))
-    raw = default_raw()
-    _section_of(raw, path)[name] = value
-    with pytest.raises(ConfigError) as err:
-        parse_config(raw)
-    assert err.value.violations == [f"{path}.{name}: {problem}"]
+    kind, bounds = next((kind, bounds) for where, key, kind, bounds in FIELD_BOUNDS if (where, key) == (path, name))
     cfg = load_config(default_config_path())
     engine = cfg.initial_user_state() if target is UserState else cfg.timeline_config()
-    with pytest.raises(ValueError) as err:
-        replace(engine, **{field: value})
-    assert str(err.value) == f"{field} {problem}"
+    # Each pinned wrong type and bad bound, through the loader and through
+    # building the engine record directly: one problem text from both.
+    for value, problem in WRONG_TYPES[kind] + bounds:
+        raw = default_raw()
+        _section_of(raw, path)[name] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.violations == [f"{path}.{name}: {problem}"]
+        with pytest.raises(ValueError) as err:
+            replace(engine, **{field: value})
+        assert str(err.value) == f"{field} {problem}"
 

@@ -1,5 +1,6 @@
-"""The records' number rule, applied to kernel arguments, predict_proba's
-observation and RetentionModel's scaler, and what a record stores.
+"""The records' number and integer rules, applied to kernel arguments,
+predict_proba's observation, RetentionModel's scaler and the counts and
+seeds the engines take, and what a record stores.
 
 A number is a finite real (numpy scalars included), never a bool, and an
 integer too large for a float is reported as such; ``_spec.FINITE`` states
@@ -7,13 +8,16 @@ this once. The differential tests hold the checked paths to the code they
 replaced for every number that code accepted. A record stores each checked
 number as a Python float, so that a kernel, the timeline engine, the fit
 and the vectorised labels all compute in double whatever real they were
-given.
+given. An integer is any ``Integral`` (numpy integers included), never a
+bool; a record stores it, and a function computes with it, as the Python
+int it equals.
 """
 
 import dataclasses
 import functools
 import json
 import math
+import re
 import struct
 from decimal import Decimal
 from fractions import Fraction
@@ -24,9 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engagekit import case_study, config, models, regression, simulator
-from engagekit._spec import FINITE, NUMBER, POSITIVE, _specs
+from engagekit._spec import FINITE, INTEGER, NUMBER, POSITIVE, _specs
 from engagekit.case_study import CaseStudyReport
-from engagekit.config import CaseStudySettings, FitConfig, TimelineSettings
+from engagekit.config import CaseStudySettings, FitConfig, Seeds, TimelineSettings
 from engagekit.models import (
     DiminishingRewardParams,
     EngagementDecayParams,
@@ -51,7 +55,8 @@ from engagekit.regression import (
     predict_proba,
     train_test_split,
 )
-from engagekit.simulator import UserState, run_timeline
+from engagekit.rng import MAX_SEED, _pcg64_permutation, _pcg64_random
+from engagekit.simulator import UserState, run_timeline, simulate_session
 
 from conftest import make_timeline_config
 
@@ -379,3 +384,93 @@ def test_run_timeline_equals_the_kernels_on_records_of_any_number_type(initial, 
         assert_same_double(point.retention_prob, retention_probability(cfg.retention, point.engagement, reward))
         skill, n = point.skill, n + 1
         pending = cfg.intervention_reward_multiplier if point.intervened else 1.0
+
+
+# --- a record stores each checked integer as a Python int ---------------------
+
+def integer_fields(cls):
+    return [(name, spec) for name, spec in _specs(cls) if spec.kind == INTEGER]
+
+
+# A valid instance of every record with an integer field: those of RECORDS
+# that have one, and two records of integers only. The test below replaces
+# each integer field of each one.
+INTEGER_RECORDS = {
+    **{cls: base for cls, base in RECORDS.items() if integer_fields(cls)},
+    Seeds: Seeds(data=0, split=42, fit=7, sim=2025),
+    ConfusionMatrix: ConfusionMatrix(180, 3, 1, 16),
+}
+
+
+def test_every_record_with_an_integer_field_is_covered():
+    records = {
+        obj for module in (models, simulator, config, regression, case_study) for obj in vars(module).values()
+        if dataclasses.is_dataclass(obj) and isinstance(obj, type) and integer_fields(obj)
+    }
+    assert records == set(INTEGER_RECORDS)
+
+
+@functools.cache
+def integers_within(spec):
+    """Integers that spec admits, as an int, an np.int64, an np.uint8 or an
+    np.uint64."""
+    lo, hi = spec.ge, spec.le
+
+    def upto(top):
+        return st.integers(lo, top if hi is None else min(hi, top))
+
+    return st.one_of(upto(2**100), upto(2**63 - 1).map(np.int64), upto(255).map(np.uint8),
+                     upto(2**64 - 1).map(np.uint64))
+
+
+def assert_stored_int(stored, value):
+    assert type(stored) is int and stored == value
+    if type(value) is int:
+        assert stored is value  # the fast path stores nothing
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_a_record_stores_each_checked_integer_as_an_int(data):
+    for cls, base in INTEGER_RECORDS.items():
+        drawn = {name: data.draw(integers_within(spec), label=f"{cls.__name__}.{name}")
+                 for name, spec in integer_fields(cls)}
+        record = dataclasses.replace(base, **drawn)
+        for name, value in drawn.items():
+            assert_stored_int(getattr(record, name), value)
+
+
+INTEGER_FIELDS = [(cls, name) for cls in INTEGER_RECORDS for name, _ in integer_fields(cls)]
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize("cls, name", INTEGER_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in INTEGER_FIELDS])
+def test_a_bool_in_any_integer_field_names_the_field(cls, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        dataclasses.replace(INTEGER_RECORDS[cls], **{name: value})
+
+
+NUMPY_INTEGERS = [np.int64, np.uint8, np.uint64]
+
+
+@pytest.mark.parametrize("numpy_int", NUMPY_INTEGERS)
+@pytest.mark.parametrize("k", [0, 1, 7, 200])
+def test_diminishing_reward_value_takes_a_numpy_count_as_its_int(k, numpy_int):
+    p = DiminishingRewardParams(v0=10.0, beta=0.3)
+    value = diminishing_reward_value(p, numpy_int(k))
+    assert type(value) is float and value == diminishing_reward_value(p, k)
+
+
+@pytest.mark.parametrize("numpy_int", NUMPY_INTEGERS)
+@pytest.mark.parametrize("k", [1, 200])
+@pytest.mark.parametrize("generate", [generate_synthetic_dataset, simulate_session])
+def test_the_generators_take_a_numpy_count_as_its_int(generate, k, numpy_int):
+    # They draw 2 * n and 3 * num_tasks doubles, which wrap around in uint8.
+    assert generate(numpy_int(k), 3) == generate(k, 3)
+
+
+@pytest.mark.parametrize("seed", [np.int64(2025), np.uint8(7), np.uint64(MAX_SEED)],
+                         ids=["int64", "uint8", "uint64-max"])
+def test_the_pure_draws_take_a_numpy_seed_as_its_int(seed):
+    assert _pcg64_random(seed, 5) == _pcg64_random(int(seed), 5)
+    assert _pcg64_permutation(seed, 9) == _pcg64_permutation(int(seed), 9)

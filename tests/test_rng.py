@@ -47,7 +47,10 @@ def test_pure_permutation_equals_numpy(seed, n):
     assert _pcg64_permutation(seed, n) == make_rng(seed).permutation(n).tolist()
 
 
-@pytest.mark.parametrize("seed", [True, -1, MAX_SEED + 1, 1.0])
+@pytest.mark.parametrize(
+    "seed", [True, -1, MAX_SEED + 1, 1.0, np.int64(-1), np.float64(1.0), np.True_],
+    ids=["True", "-1", "18446744073709551616", "1.0", "np.int64(-1)", "np.float64(1.0)", "np.True_"],
+)
 def test_bad_seed_message_is_the_same_on_both_paths(seed):
     with pytest.raises(ValueError) as pure:
         _pcg64_random(seed, 3)

@@ -1,21 +1,26 @@
-"""Tests for the session and timeline simulators."""
+"""Tests for the session and timeline simulators.
+
+The session and timeline engines draw in pure Python where numpy is
+absent, so most of these tests run without it. Those that drive
+``step_user`` with a numpy generator, or build a regression record, are
+marked numpy and import what they need themselves.
+"""
 
 import copy
 import math
 import pickle
+import statistics
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
-import numpy as np
 import pytest
 
+from engagekit.config import FitConfig
 from engagekit.models import (
     DiminishingRewardParams,
     LogisticDifficultyParams,
     RetentionParams,
     case_difficulty,
 )
-from engagekit.regression import ConfusionMatrix, FitConfig, RetentionModel, generate_synthetic_dataset
-from engagekit.rng import make_rng
 from engagekit.simulator import (
     SessionStep,
     TimelinePoint,
@@ -72,7 +77,10 @@ def test_session_deterministic():
 
 # --- single step dynamics ----------------------------------------------------
 
+@pytest.mark.numpy
 def test_step_failure_leaves_skill_unchanged():
+    from engagekit.rng import make_rng
+
     # x0 far below skill drives difficulty to ~1, so the step must fail
     cfg = make_timeline_config(
         difficulty=replace(make_timeline_config().difficulty, x0=-50.0), skill_gain=0.0
@@ -83,7 +91,10 @@ def test_step_failure_leaves_skill_unchanged():
     assert new_state.skill == state.skill
 
 
+@pytest.mark.numpy
 def test_step_success_applies_headroom_gain():
+    from engagekit.rng import make_rng
+
     # x0 far above skill drives difficulty to ~0, so the step must succeed
     cfg = make_timeline_config(
         difficulty=replace(make_timeline_config().difficulty, x0=50.0), skill_gain=0.25
@@ -94,7 +105,10 @@ def test_step_success_applies_headroom_gain():
     assert new_state.skill == pytest.approx(0.2 + 0.25 * 0.8, rel=1e-15)
 
 
+@pytest.mark.numpy
 def test_step_identity_engagement_dynamics():
+    from engagekit.rng import make_rng
+
     cfg = make_timeline_config(
         decay=replace(make_timeline_config().decay, lam=0.0), engagement_boost=0.0
     )
@@ -103,7 +117,10 @@ def test_step_identity_engagement_dynamics():
     assert new_state.engagement == 0.37
 
 
+@pytest.mark.numpy
 def test_step_counts_advance():
+    from engagekit.rng import make_rng
+
     cfg = make_timeline_config()
     state = UserState(engagement=0.9, skill=0.0, interactions=3, time=7)
     new_state, point = step_user(state, cfg, make_rng(0))
@@ -112,7 +129,10 @@ def test_step_counts_advance():
     assert point.step == 8
 
 
+@pytest.mark.numpy
 def test_step_reward_uses_interaction_count_and_accumulates():
+    from engagekit.rng import make_rng
+
     cfg = make_timeline_config()  # v0=10, beta=0.3
     state = UserState(engagement=0.9, skill=0.0, cumulative_reward=1.0, interactions=2)
     new_state, point = step_user(state, cfg, make_rng(0))
@@ -121,7 +141,10 @@ def test_step_reward_uses_interaction_count_and_accumulates():
     assert new_state.cumulative_reward == 1.0 + expected
 
 
+@pytest.mark.numpy
 def test_step_consumes_pending_multiplier_once():
+    from engagekit.rng import make_rng
+
     cfg = make_timeline_config(
         diminishing=replace(make_timeline_config().diminishing, beta=0.0)
     )
@@ -133,7 +156,10 @@ def test_step_consumes_pending_multiplier_once():
     assert next_point.reward_granted == 10.0
 
 
+@pytest.mark.numpy
 def test_step_skill_closed_form_after_200_successes():
+    from engagekit.rng import make_rng
+
     cfg = make_timeline_config(
         difficulty=replace(make_timeline_config().difficulty, x0=50.0)
     )
@@ -146,7 +172,10 @@ def test_step_skill_closed_form_after_200_successes():
     assert state.skill == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.numpy
 def test_step_consumes_exactly_one_draw():
+    from engagekit.rng import make_rng
+
     cfg = make_timeline_config()
     rng_a = make_rng(5)
     step_user(UserState(engagement=0.9, skill=0.0), cfg, rng_a)
@@ -238,8 +267,8 @@ def test_timeline_interventions_fire_and_lift_retention(initial_state):
     on = run_timeline(initial_state, cfg_on)
     off = run_timeline(initial_state, cfg_off)
     assert any(p.intervened for p in on)
-    mean_on = np.mean([p.retention_prob for p in on])
-    mean_off = np.mean([p.retention_prob for p in off])
+    mean_on = statistics.fmean(p.retention_prob for p in on)
+    mean_off = statistics.fmean(p.retention_prob for p in off)
     assert mean_on >= mean_off
 
 
@@ -288,22 +317,31 @@ def test_skill_gain_zero_is_allowed():
     assert make_timeline_config(skill_gain=0.0).skill_gain == 0.0
 
 
+def _regression():
+    from engagekit import regression
+
+    return regression
+
+
 @pytest.mark.parametrize(
-    "make",
+    "name, make",
     [
-        lambda: UserState(engagement=0.5, skill=0.5, interactions=True),
-        lambda: UserState(engagement=0.5, skill=0.5, time=True),
-        lambda: make_timeline_config(steps=True),
-        lambda: simulate_session(True, 0),
-        lambda: FitConfig(max_epochs=True),
-        lambda: ConfusionMatrix(tn=True, fp=0, fn=0, tp=0),
-        lambda: generate_synthetic_dataset(True, 0),
-        lambda: RetentionModel(0.0, 0.0, 0.0, (0.0, 0.0), (1.0, 1.0), epochs_used=True),
+        ("interactions", lambda: UserState(engagement=0.5, skill=0.5, interactions=True)),
+        ("time", lambda: UserState(engagement=0.5, skill=0.5, time=True)),
+        ("steps", lambda: make_timeline_config(steps=True)),
+        ("num_tasks", lambda: simulate_session(True, 0)),
+        ("max_epochs", lambda: FitConfig(max_epochs=True)),
+        pytest.param("tn", lambda: _regression().ConfusionMatrix(tn=True, fp=0, fn=0, tp=0),
+                     marks=pytest.mark.numpy),
+        pytest.param("n", lambda: _regression().generate_synthetic_dataset(True, 0), marks=pytest.mark.numpy),
+        pytest.param("epochs_used",
+                     lambda: _regression().RetentionModel(0.0, 0.0, 0.0, (0.0, 0.0), (1.0, 1.0), epochs_used=True),
+                     marks=pytest.mark.numpy),
     ],
     ids=["interactions", "time", "steps", "num_tasks", "max_epochs", "confusion", "n", "epochs_used"],
 )
-def test_bool_counts_rejected(make):
-    with pytest.raises(ValueError, match=r"must be a (non-negative|positive) integer, got True"):
+def test_bool_counts_rejected(name, make):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
         make()
 
 
@@ -312,34 +350,43 @@ def test_bool_counts_rejected(make):
 MAX_FLOAT = 1.7976931348623157e308
 
 
-@pytest.mark.parametrize(
-    "cfg_overrides, state_overrides, message",
-    [
-        # gamma * (skill - x0) overflows inside the difficulty kernel
-        ({"difficulty": LogisticDifficultyParams(d_max=1.0, gamma=1e308, x0=-5.0)}, {},
-         "z must be finite, got inf"),
-        # the armed multiplier doubles a near-maximal v0 past the float range
-        ({"diminishing": DiminishingRewardParams(v0=MAX_FLOAT, beta=0.3)},
-         {"pending_reward_multiplier": 2.0}, "r must be finite, got inf"),
-        # same overflow with engagement_boost = 0: 0 * inf makes engagement nan
-        ({"diminishing": DiminishingRewardParams(v0=MAX_FLOAT, beta=0.3), "engagement_boost": 0.0},
-         {"pending_reward_multiplier": 2.0}, "e must be finite, got nan"),
-        # b * reward overflows inside the retention kernel
-        ({"diminishing": DiminishingRewardParams(v0=1e308, beta=0.0),
-          "retention": RetentionParams(a=0.5, b=10.0, c=1.5)}, {}, "z must be finite, got inf"),
-        # every reward is finite, their running sum is not
-        ({"diminishing": DiminishingRewardParams(v0=1e308, beta=0.0), "intervention_threshold": 0.0}, {},
-         "cumulative_reward must be finite, got inf"),
-    ],
-    ids=["difficulty-logit", "reward", "engagement", "retention-logit", "cumulative-reward"],
-)
+NON_FINITE = [
+    # gamma * (skill - x0) overflows inside the difficulty kernel
+    ({"difficulty": LogisticDifficultyParams(d_max=1.0, gamma=1e308, x0=-5.0)}, {},
+     "z must be finite, got inf"),
+    # the armed multiplier doubles a near-maximal v0 past the float range
+    ({"diminishing": DiminishingRewardParams(v0=MAX_FLOAT, beta=0.3)},
+     {"pending_reward_multiplier": 2.0}, "r must be finite, got inf"),
+    # same overflow with engagement_boost = 0: 0 * inf makes engagement nan
+    ({"diminishing": DiminishingRewardParams(v0=MAX_FLOAT, beta=0.3), "engagement_boost": 0.0},
+     {"pending_reward_multiplier": 2.0}, "e must be finite, got nan"),
+    # b * reward overflows inside the retention kernel
+    ({"diminishing": DiminishingRewardParams(v0=1e308, beta=0.0),
+      "retention": RetentionParams(a=0.5, b=10.0, c=1.5)}, {}, "z must be finite, got inf"),
+    # every reward is finite, their running sum is not
+    ({"diminishing": DiminishingRewardParams(v0=1e308, beta=0.0), "intervention_threshold": 0.0}, {},
+     "cumulative_reward must be finite, got inf"),
+]
+NON_FINITE_IDS = ["difficulty-logit", "reward", "engagement", "retention-logit", "cumulative-reward"]
+
+
+@pytest.mark.parametrize("cfg_overrides, state_overrides, message", NON_FINITE, ids=NON_FINITE_IDS)
 def test_non_finite_intermediates_keep_their_messages(cfg_overrides, state_overrides, message):
     cfg = make_timeline_config(steps=3, **cfg_overrides)
     state = UserState(engagement=0.9, skill=0.5, **state_overrides)
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_timeline(state, cfg)
+
+
+@pytest.mark.numpy
+@pytest.mark.parametrize("cfg_overrides, state_overrides, message", NON_FINITE, ids=NON_FINITE_IDS)
+def test_non_finite_intermediates_keep_their_messages_step_by_step(cfg_overrides, state_overrides, message):
+    from engagekit.rng import make_rng
+
+    cfg = make_timeline_config(steps=3, **cfg_overrides)
+    state = UserState(engagement=0.9, skill=0.5, **state_overrides)
+    rng = make_rng(0)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        rng = make_rng(0)
         for _ in range(cfg.steps):
             state, _ = step_user(state, cfg, rng)
 
