@@ -20,9 +20,10 @@ two commands that read a configuration; the numpy-backed modules
 takes its random numbers by ``rng``'s rule, so ``numpy.random`` is imported
 only for more draws than the pure-Python budget holds: ``gen-data`` at
 over 131072 rows, never ``case-study`` at its default size. ``gen-data``
-writes its rows as it draws them, a chunk at a time, instead of building
-the ``Dataset`` that ``regression.generate_synthetic_dataset`` returns;
-its file and stdout are that dataset's, bit for bit.
+checks its arguments where it takes its draws, before it touches the output
+path, then writes its rows a chunk at a time instead of building the
+``Dataset`` that ``regression.generate_synthetic_dataset`` returns; its
+file and stdout are that dataset's, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import os
 import sys
 
 from ._spec import POSITIVE_COUNT, ConfigError
-from .rng import SEED, _raw_draws
+from .rng import _raw_draws
 from .storage import (
     _CHUNK_ROWS,
     _write_dataset_chunks,
@@ -57,11 +58,6 @@ def _load_config(explicit: str | None):
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    # n, then the seed, as generate_synthetic_dataset checks them, and both
-    # before the output path is touched: the rows are drawn while they are
-    # written.
-    POSITIVE_COUNT.check("n", args.n)
-    SEED.check("seed", args.seed)
     positives = _write_dataset_chunks(args.out, _synthetic_chunks(args.n, args.seed))
     print(f"wrote {args.n} rows to {args.out} (positive rate {positives / args.n:.4f})")
     return 0
@@ -69,29 +65,35 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _synthetic_chunks(n: int, seed: int):
     """The rows of ``regression.generate_synthetic_dataset(n, seed)``, bit
-    for bit, as (engagement, reward, retention) lists of at most _CHUNK_ROWS
-    rows each, drawn without numpy where ``rng``'s rule allows.
+    for bit, as an iterator of (engagement, reward, retention) lists of at
+    most _CHUNK_ROWS rows each, drawn without numpy where ``rng``'s rule
+    allows. It checks n, then the seed (the draws check it), as that
+    function does, and takes its draws before it returns.
 
     The dataset draws n engagements, then n rewards, so row i reads draws i
     and n + i. Reward is the draw times 10 and the label is the criterion
     0.5*e + 0.5*r > 5, computed in Python floats with the IEEE operations
     numpy's ufuncs apply, in the same order, so they round alike.
     """
+    n = POSITIVE_COUNT.check("n", n)
     draws = _raw_draws(seed, 2 * n)
-    for start in range(0, n, _CHUNK_ROWS):
+
+    def chunk(start: int):
         stop = min(start + _CHUNK_ROWS, n)
         engagement = draws[start:stop]
         reward = draws[n + start:n + stop]
         if not isinstance(draws, list):  # numpy's array, converted a chunk at a time
             engagement, reward = engagement.tolist(), reward.tolist()
         reward = [x * 10.0 for x in reward]
-        yield engagement, reward, [1 if 0.5 * e + 0.5 * r > 5.0 else 0 for e, r in zip(engagement, reward)]
+        return engagement, reward, [1 if 0.5 * e + 0.5 * r > 5.0 else 0 for e, r in zip(engagement, reward)]
+
+    return map(chunk, range(0, n, _CHUNK_ROWS))
 
 
 def _cmd_case_study(args: argparse.Namespace) -> int:
-    from .case_study import run_case_study
-
     cfg = _load_config(args.config)
+    from .case_study import run_case_study  # after the config: a bad one costs no numpy import
+
     report = run_case_study(cfg)
     payload = json.dumps(report.to_dict(), indent=2)
     write_case_study_files(cfg.output.report_json, payload + "\n", cfg.output.confusion_csv, report.confusion)

@@ -98,8 +98,9 @@ def _non_number(values) -> str | None:
     return repr(next(v for v in values if type(v) in bad)) if bad else None
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
+def _readonly(values, dtype) -> np.ndarray:
+    """A read-only copy of values as a dtype array, made in one copy."""
+    out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -126,9 +127,9 @@ class Dataset:
         labels = np.asarray(self.retention)
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("retention labels must be 0 or 1")
-        e = _readonly(np.asarray(self.engagement, dtype=np.float64))
-        r = _readonly(np.asarray(self.reward, dtype=np.float64))
-        y = _readonly(np.asarray(labels, dtype=np.int64))
+        e = _readonly(self.engagement, np.float64)
+        r = _readonly(self.reward, np.float64)
+        y = _readonly(labels, np.int64)
         object.__setattr__(self, "engagement", e)
         object.__setattr__(self, "reward", r)
         object.__setattr__(self, "retention", y)
@@ -175,8 +176,8 @@ class SplitPair:
     test_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "train_indices", _readonly(np.asarray(self.train_indices, dtype=np.int64)))
-        object.__setattr__(self, "test_indices", _readonly(np.asarray(self.test_indices, dtype=np.int64)))
+        object.__setattr__(self, "train_indices", _readonly(self.train_indices, np.int64))
+        object.__setattr__(self, "test_indices", _readonly(self.test_indices, np.int64))
 
 
 @record
@@ -302,11 +303,6 @@ def _sigmoid_vec(z: np.ndarray, out: np.ndarray, e: np.ndarray, mask: np.ndarray
     return np.divide(e, out, out)
 
 
-def _scaled_design(m: RetentionModel, d: Dataset) -> np.ndarray:
-    e, r = m.scale(d.engagement, d.reward)
-    return np.column_stack((e, r))
-
-
 def loss_and_gradient(m: RetentionModel, d: Dataset) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood and its analytic gradient.
 
@@ -314,7 +310,7 @@ def loss_and_gradient(m: RetentionModel, d: Dataset) -> tuple[float, np.ndarray]
     w_reward, bias) evaluated on the dataset's standardized features. The
     probabilities inside the log terms are clamped to [1e-12, 1 - 1e-12].
     """
-    X = _scaled_design(m, d)
+    X = np.column_stack(m.scale(d.engagement, d.reward))
     y = d.retention.astype(np.float64)
     z = X @ np.array([m.w_engagement, m.w_reward]) + m.bias
     p = _sigmoid_vec(z, np.empty_like(z), np.empty_like(z), np.empty(z.shape, dtype=bool))

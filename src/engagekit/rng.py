@@ -68,10 +68,12 @@ _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Return a fresh PCG64-backed generator for a 64-bit unsigned seed."""
+    """Return a fresh PCG64-backed generator for a 64-bit unsigned seed,
+    checked by :data:`SEED` before numpy is imported: a bad seed costs no
+    import, and is the error reported where numpy cannot be imported."""
+    seed = SEED.check("seed", seed)
     import numpy as np
 
-    seed = SEED.check("seed", seed)
     return np.random.Generator(np.random.PCG64(seed))
 
 

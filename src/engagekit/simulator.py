@@ -72,11 +72,11 @@ finite, got inf``), reward (``r must be finite, got inf``) or cumulative
 reward (``cumulative_reward must be finite, got inf``, as UserState says).
 
 Both engines build each TimelinePoint and SessionStep without the record's
-``__init__``: a call with no arguments makes an instance of a private "open
-twin" (see :func:`_open_twin`: the same slots, no ``__init__`` of its own,
-so the call runs only object's C ``__new__`` and ``__init__``), the engine
-stores its slots as plain attributes, then retypes it in place with
-``obj.__class__ = TimelinePoint`` (or SessionStep). A frozen dataclass's
+``__init__``, through the record's "open twin" (see :func:`_engine_record`,
+which readies both records): a call of ``TimelinePoint._open`` (or
+``SessionStep._open``) with no arguments runs only object's C ``__new__``
+and ``__init__``, the engine stores the slots as plain attributes, then
+retypes the instance in place to the record. A frozen dataclass's
 ``__init__`` is a Python frame that sets each field through
 ``object.__setattr__``; that was the largest cost left per step. The
 twin's bare call also costs less than ``object.__new__(twin)``, a generic
@@ -129,10 +129,6 @@ __all__ = [
 ]
 
 
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
 @record
 class UserState:
     """Evolving user snapshot for timeline simulation.
@@ -149,15 +145,22 @@ class UserState:
     pending_reward_multiplier: float = AT_LEAST_ONE.field(1.0)
 
 
-def _frozen_slots(record: type) -> type:
-    """Give a frozen ``slots=True`` dataclass the refusals of a frozen
-    dataclass without slots.
+def _engine_record(record: type) -> type:
+    """Ready a frozen ``slots=True`` dataclass for the engines.
 
-    The ``__setattr__``/``__delattr__`` that dataclass generates call
-    ``super()`` with the class it had before slots were added, so on a name
-    that is not a field they raised TypeError. These raise
-    FrozenInstanceError for every name, with dataclass's messages. A frozen
-    dataclass's body may not define them, so they are set after decoration.
+    It raises FrozenInstanceError, with dataclass's messages, on assigning
+    or deleting any name: the ``__setattr__``/``__delattr__`` that
+    dataclass generates call ``super()`` with the class it had before slots
+    were added, so on a name that is not a field they raised TypeError, and
+    a frozen dataclass's body may not define its own.
+
+    And it stores the record's open twin as ``record._open``: a plain class
+    with record's slots in field order, no ``__init__`` and no base but
+    object. The engines call it with no arguments, store each slot as a
+    plain attribute and retype the instance in place with ``obj.__class__ =
+    record``, which CPython allows because the slot layouts are identical.
+    What results is an ordinary frozen record (type, ``==``, hash, repr,
+    replace, copy, pickle and refusals all as if built by record(...)).
     """
 
     def __setattr__(self, name, value):
@@ -167,10 +170,11 @@ def _frozen_slots(record: type) -> type:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     record.__setattr__, record.__delattr__ = __setattr__, __delattr__
+    record._open = type(f"_Open{record.__name__}", (), {"__slots__": record.__slots__})
     return record
 
 
-@_frozen_slots
+@_engine_record
 @dataclass(frozen=True, slots=True)
 class SessionStep:
     """One task of a simulated session; difficulty is always the session
@@ -183,7 +187,7 @@ class SessionStep:
     success: bool
 
 
-@_frozen_slots
+@_engine_record
 @dataclass(frozen=True, slots=True)
 class TimelinePoint:
     """One emitted timeline sample: the user's state at the end of a step,
@@ -197,25 +201,6 @@ class TimelinePoint:
     retention_prob: float
     success: bool
     intervened: bool
-
-
-def _open_twin(record: type) -> type:
-    """A private plain class with record's slots, in record's field order.
-
-    It has no ``__init__`` and no base but object: the engines make an
-    instance by calling it with no arguments, store each slot as a plain
-    attribute (a frozen dataclass's ``__init__`` goes through
-    ``object.__setattr__`` field by field), and retype it in place with
-    ``obj.__class__ = record``, which CPython allows because the slot
-    layouts are identical. What results is an ordinary frozen record (type,
-    ``==``, hash, repr, replace, copy, pickle and FrozenInstanceError on
-    assignment all as if built by record(...)).
-    """
-    return type(f"_Open{record.__name__}", (), {"__slots__": record.__slots__})
-
-
-_OpenSessionStep = _open_twin(SessionStep)
-_OpenTimelinePoint = _open_twin(TimelinePoint)
 
 
 @record
@@ -253,12 +238,12 @@ def simulate_session(num_tasks: int, seed: int) -> list[SessionStep]:
     """
     num_tasks = POSITIVE_COUNT.check("num_tasks", num_tasks)
     steps = []
-    append, open_step, record = steps.append, _OpenSessionStep, SessionStep
+    append, open_step, record = steps.append, SessionStep._open, SessionStep
     draws = iter(_draws(seed, 3 * num_tasks))
     for task, (engagement, reward, u) in enumerate(zip(draws, draws, draws), 1):
         reward *= 10.0
         difficulty = _sigmoid(engagement + reward - 1.0)  # case_difficulty; both terms are finite
-        step = open_step()  # an open twin, retyped below (see _open_twin)
+        step = open_step()  # an open twin, retyped below (see _engine_record)
         step.task_index = task
         step.engagement = engagement
         step.reward = reward
@@ -294,7 +279,7 @@ def _advance(
     # so the first step computes it.
     known = math.nan
     points = []
-    append, open_point, record = points.append, _OpenTimelinePoint, TimelinePoint
+    append, open_point, record = points.append, TimelinePoint._open, TimelinePoint
     for u in draws:
         if skill != known:  # the first step, or a success moved skill
             known = skill
@@ -335,7 +320,7 @@ def _advance(
         n += 1
         t += 1
         intervened = retention < threshold
-        point = open_point()  # an open twin, retyped below (see _open_twin)
+        point = open_point()  # an open twin, retyped below (see _engine_record)
         point.step = t
         point.engagement = engagement
         point.skill = skill
@@ -386,7 +371,8 @@ def apply_intervention(state: UserState, cfg: TimelineConfig) -> UserState:
     arm the reward multiplier for the next step."""
     return replace(
         state,
-        engagement=_clamp01(state.engagement + cfg.engagement_boost),
+        # Both terms are >= 0, so only the upper clamp can act, as in _advance.
+        engagement=min(state.engagement + cfg.engagement_boost, 1.0),
         pending_reward_multiplier=cfg.intervention_reward_multiplier,
     )
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -85,6 +86,7 @@ def test_missing_output_directory_names_the_output_path(tmp_path, capsys, comman
     assert ".tmp" not in captured.err
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("output", ["report_json", "confusion_csv"])
 def test_case_study_missing_output_directory_names_the_output_path(tmp_path, capsys, output):
     config = write_config(tmp_path)
@@ -97,7 +99,11 @@ def test_case_study_missing_output_directory_names_the_output_path(tmp_path, cap
 
 
 # --- case-study --------------------------------------------------------------
+#
+# A case-study run needs numpy: those tests are marked numpy. Its config is
+# checked without it.
 
+@pytest.mark.numpy
 def test_case_study_report(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["case-study", "--config", str(config)]) == 0
@@ -113,6 +119,7 @@ def test_case_study_report(tmp_path, capsys):
     assert on_disk == report
 
 
+@pytest.mark.numpy
 def test_case_study_deterministic(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["case-study", "--config", str(config)]) == 0
@@ -123,6 +130,7 @@ def test_case_study_deterministic(tmp_path, capsys):
     assert (tmp_path / "confusion.csv").read_bytes() == first_cm
 
 
+@pytest.mark.numpy
 def test_case_study_env_var_config(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path, **{"case_study.num_samples": 500})
     monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
@@ -148,6 +156,23 @@ def test_case_study_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_case_study_reports_a_bad_config_without_numpy(tmp_path, capsys, monkeypatch):
+    # case-study checks its config before it imports the pipeline and numpy.
+    # The numpy-backed modules are dropped, so importing them would meet the
+    # block.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for name in ("engagekit.case_study", "engagekit.regression"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    config = write_config(tmp_path)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    del raw["fit"]
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["case-study", "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", "error: fit: missing required section\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.numpy
 def test_case_study_single_class_training_set_exits_1(tmp_path, capsys):
     # Ten rows under the default seeds hold no positive label, so the fit
     # raises FitError, a ValueError, which main reports like any other.
@@ -159,6 +184,7 @@ def test_case_study_single_class_training_set_exits_1(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.numpy
 def test_case_study_bad_confusion_path_writes_neither_file(tmp_path, capsys):
     config = write_config(tmp_path)
     raw = json.loads(config.read_text(encoding="utf-8"))
@@ -171,6 +197,7 @@ def test_case_study_bad_confusion_path_writes_neither_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.numpy
 def test_case_study_failure_keeps_previous_files(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["case-study", "--config", str(config)]) == 0
@@ -185,6 +212,7 @@ def test_case_study_failure_keeps_previous_files(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "confusion.csv", "report.json"]
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_case_study_one_file_for_both_outputs_exits_1_writing_nothing(tmp_path, capsys, monkeypatch, existing):
     # report_json and confusion_csv name one file: the report would be lost

@@ -117,6 +117,20 @@ def test_gen_data_checks_the_seed_before_a_missing_directory(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: seed must be <= {MAX_SEED}, got {MAX_SEED + 1}\n"
 
 
+def test_gen_data_past_the_budget_checks_the_seed_before_it_imports_numpy(tmp_path):
+    # These rows take their draws through numpy, and a bad seed is reported
+    # before numpy is imported and before the output path is touched.
+    code = ("import json, sys\n"
+            "from engagekit.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(json.dumps([status, 'numpy' in sys.modules]))")
+    argv = gen_data_argv(str(tmp_path / "data.csv"), LAST_PURE_N + 1, -1)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=subprocess_env(),
+                          capture_output=True, text=True, check=True)
+    assert (proc.stdout, proc.stderr) == ("[1, false]\n", "error: seed must be >= 0, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("pure", [False, True], ids=["numpy", "list"])
 @pytest.mark.parametrize("n", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 5000])
 def test_gen_data_chunks_are_equal_length_lists_summing_to_n(monkeypatch, n, pure):

@@ -1,6 +1,7 @@
 """The pure-Python PCG64 against numpy's, and the rule that picks a path."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -60,6 +61,17 @@ def test_bad_seed_message_is_the_same_on_both_paths(seed):
         make_rng(seed)
     assert str(pure.value) == str(permutation.value) == str(numpy.value)
     assert str(pure.value).startswith("seed must be ")
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (True, "seed must be an integer, got True"),
+], ids=["-1", "True"])
+def test_make_rng_checks_the_seed_before_it_imports_numpy(monkeypatch, seed, message):
+    # Where numpy cannot be imported, a bad seed is still the error reported.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_rng(seed)
 
 
 @pytest.mark.parametrize("seed", [np.int64(-1), np.uint64(MAX_SEED), np.int64(2025), np.uint64(2025)])

@@ -31,7 +31,6 @@ from engagekit.simulator import (
     simulate_session,
     step_user,
 )
-from engagekit.simulator import _OpenSessionStep, _OpenTimelinePoint
 
 from conftest import make_timeline_config
 
@@ -451,7 +450,7 @@ def test_records_refuse_assignment_and_deletion_of_any_name(record, name):
 
 @pytest.mark.parametrize(
     "twin, record_type",
-    [(_OpenTimelinePoint, TimelinePoint), (_OpenSessionStep, SessionStep)],
+    [(TimelinePoint._open, TimelinePoint), (SessionStep._open, SessionStep)],
     ids=["TimelinePoint", "SessionStep"],
 )
 def test_open_twin_slots_match_the_record_fields(twin, record_type):
