@@ -9,21 +9,14 @@ accuracy / confusion-matrix evaluation.
 Everything is deterministic: the data seed, split seed, and fit config
 reproduce bit-identical datasets, partitions, and weights.
 
-Each epoch of the fit is a short, fixed run of numpy calls on buffers
-allocated once per fit; on the default data a fit runs all its epochs, as
+The fitted weights follow one rule: they are the doubles of the
+allocating loop ``p = 1 / (1 + np.exp(-(X @ w + b)))``, ``g_w = X.T @
+(p - y) / n``, ``g_b = mean(p - y)``, stopped on a Python-float gradient
+norm (``tests/test_regression_differential.py`` holds them ==). They are
+within a few ulp (the tests allow 1e-13 relative) of the original loop's,
+whose sigmoid branched on the sign of z, and on the packaged default they
+are the same doubles. On the default data a fit runs all its epochs, as
 the classes are separable and gradient descent never meets its tolerance.
-Three of the calls sum, each in an order that the call itself fixes: the
-two BLAS gemv products (X @ w and X.T @ residuals, where OpenBLAS fuses
-multiplies and adds) and the pairwise np.add.reduce of the residuals.
-Those calls keep their form, since no ufunc or Python form gives their
-bits. Every other step is elementwise. A single IEEE +, -, * or / rounds
-to the same double in Python as in a numpy ufunc, so the gradient is
-scaled and the three parameters are updated as Python floats, and the
-fitted weights stay the doubles of the original allocating loop
-(``tests/test_regression_differential.py`` holds them ==). The stopping
-test takes the gradient norm from those Python floats too, and calls no
-BLAS routine. The sigmoid keeps np.exp, which need not round as math.exp
-does.
 """
 
 from __future__ import annotations
@@ -277,32 +270,6 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
     return SplitPair(d.subset(train_idx), d.subset(test_idx), train_idx, test_idx)
 
 
-def _sigmoid_vec(z: np.ndarray, out: np.ndarray, e: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Logistic of z, written into out and returned; allocates nothing.
-
-    Branch-free: with e = exp(-|z|) the result is 1 / (1 + e) where z >= 0
-    and e / (1 + e) elsewhere. On every input these are the doubles of the
-    masked branch-on-sign form that models.sigmoid writes with math.exp,
-    1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)), computed with np.exp: -|z|
-    (np.absolute, then np.negative, which only move the sign bit) is -z for
-    z >= 0 and z otherwise, -0.0 included (a nan stays nan). Each call is
-    elementwise (seven passes, no summation), so nothing here depends on
-    BLAS. The masked copy costs little where few z are >= 0, as in the
-    fit's mostly negative logits. e (float64) and mask (bool) are
-    caller-supplied scratch buffers of z's shape; out may be z itself. out
-    is passed positionally where numpy allows it, which parses faster.
-    Scalar clamping to the open interval is not needed under the log-eps
-    clamp the loss applies.
-    """
-    np.greater_equal(z, 0.0, mask)
-    np.absolute(z, e)
-    np.negative(e, e)
-    np.exp(e, e)
-    np.add(e, 1.0, out)
-    np.copyto(e, 1.0, where=mask)
-    return np.divide(e, out, out)
-
-
 def loss_and_gradient(m: RetentionModel, d: Dataset) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood and its analytic gradient.
 
@@ -313,7 +280,8 @@ def loss_and_gradient(m: RetentionModel, d: Dataset) -> tuple[float, np.ndarray]
     X = np.column_stack(m.scale(d.engagement, d.reward))
     y = d.retention.astype(np.float64)
     z = X @ np.array([m.w_engagement, m.w_reward]) + m.bias
-    p = _sigmoid_vec(z, np.empty_like(z), np.empty_like(z), np.empty(z.shape, dtype=bool))
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives p = 0
+        p = 1.0 / (1.0 + np.exp(-z))
     pc = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
     loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
     resid = p - y
@@ -333,70 +301,73 @@ def fit_logistic(train: Dataset, cfg: FitConfig = FitConfig()) -> RetentionModel
     updates run until the gradient norm drops below cfg.convergence_tol or
     cfg.max_epochs is reached.
 
-    An epoch allocates nothing: it runs through buffers allocated once per
-    fit, with the branch-free :func:`_sigmoid_vec` writing into them. The
-    weights are the same doubles as those of the allocating form
-    ``p = sigmoid(X @ w + b); g_w = X.T @ (p - y) / n; g_b = mean(p - y)``:
-
-    - the calls that sum keep their form, because their order of summation
-      (and OpenBLAS's fused multiply-adds) is part of the result:
-      ``np.dot`` for both gemv products (the cblas_dgemv that ``@`` calls,
-      with less overhead) and ``np.add.reduce`` for the bias gradient;
-    - the 2-element tail is Python floats: ``g_w.tolist()``, then
-      ``g0 /= n``, ``w0 -= lr * g0`` and so on, with the weights stored
-      back into ``w`` for the next gemv. A single IEEE divide, multiply or
-      subtract rounds to the same double in Python as in a numpy ufunc, and
-      ``reduce(z).item() / n`` is the double ``np.add.reduce(z) / n`` was.
+    The weights are the doubles of the allocating exp-form loop (see the
+    module docstring). An epoch is eight numpy calls on buffers allocated
+    once per fit, with the same results: the gemv products keep ``np.dot``
+    (the cblas_dgemv that ``@`` calls) and the bias gradient
+    ``np.add.reduce``, since their order of summation is part of the
+    result; the gemv takes -w, which gives -(X @ w) exactly, as negation
+    commutes with every rounding; and the 2-element tail is Python floats
+    (``g0 /= n``, ``w0 -= lr * g0`` and so on), as a single IEEE divide,
+    multiply or subtract rounds alike in Python and in a ufunc. Where
+    z < -709.78, exp(-z) overflows to inf and p is 0.
 
     The fit stops at the first epoch whose Python-float gradient norm
     ``math.sqrt(g0*g0 + g1*g1 + g_b*g_b)`` is below tol, before its update.
 
     Raises:
-        FitError: if only one class is present or a feature is constant.
+        FitError: if only one class is present, or a feature is constant or
+            too large for its mean and std to be finite.
     """
     y = train.retention.astype(np.float64)
     if y.min() == y.max():
         raise FitError("training set contains a single class; boundary is undefined")
     raw = train.features()
-    means = raw.mean(axis=0)
-    stds = raw.std(axis=0)
+    with np.errstate(over="ignore"):
+        means = raw.mean(axis=0)
+        stds = raw.std(axis=0)
+    for name, mean, std in zip(("engagement", "reward"), means.tolist(), stds.tolist()):
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise FitError(f"{name}'s mean or std is not finite; standardization is undefined")
     if (stds <= 0.0).any():
         raise FitError("a feature is constant; standardization is undefined")
     X = (raw - means) / stds
 
-    # z holds X @ w + b, then the probabilities, then the residuals p - y.
-    # w keeps the weights as an array for the gemv; w0, w1 and b are the
-    # same doubles as Python floats. g_w holds X.T @ (p - y), which the
-    # Python-float tail divides by n.
+    # z holds -(X @ w + b), then exp of it, then the probabilities, then the
+    # residuals p - y. nw keeps -w as an array for the gemv, which then gives
+    # -(X @ w) exactly; w0, w1 and b are the weights as Python floats. g_w
+    # holds X.T @ (p - y), which the Python-float tail divides by n.
     n = len(y)
     Xt = X.T
-    z, e = np.empty(n), np.empty(n)
-    mask = np.empty(n, dtype=bool)
+    z = np.empty(n)
     g_w = np.empty(2)
-    w = np.zeros(2)
+    nw = np.zeros(2)
     w0 = w1 = b = 0.0
     lr, tol = cfg.learning_rate, cfg.convergence_tol
-    dot, add, subtract, reduce = np.dot, np.add, np.subtract, np.add.reduce
+    dot, add, subtract, divide, exp, reduce = np.dot, np.add, np.subtract, np.divide, np.exp, np.add.reduce
     sqrt = math.sqrt
     epochs_used = 0
-    for _ in range(cfg.max_epochs):
-        dot(X, w, z)
-        add(z, b, z)
-        _sigmoid_vec(z, z, e, mask)
-        subtract(z, y, z)
-        dot(Xt, z, g_w)
-        gw0, gw1 = g_w.tolist()
-        gw0 /= n
-        gw1 /= n
-        g_b = reduce(z).item() / n
-        if sqrt(gw0 * gw0 + gw1 * gw1 + g_b * g_b) < tol:
-            break
-        w0 -= lr * gw0
-        w1 -= lr * gw1
-        b -= lr * g_b
-        w[0] = w0
-        w[1] = w1
-        epochs_used += 1
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives p = 0
+        for _ in range(cfg.max_epochs):
+            dot(X, nw, z)
+            add(z, -b, z)
+            exp(z, z)
+            add(z, 1.0, z)
+            divide(1.0, z, z)
+            subtract(z, y, z)
+            dot(Xt, z, g_w)
+            gw0, gw1 = g_w.tolist()
+            gw0 /= n
+            gw1 /= n
+            g_b = reduce(z).item() / n
+            if sqrt(gw0 * gw0 + gw1 * gw1 + g_b * g_b) < tol:
+                break
+            w0 -= lr * gw0
+            w1 -= lr * gw1
+            b -= lr * g_b
+            nw[0] = -w0
+            nw[1] = -w1
+            epochs_used += 1
 
     return RetentionModel(
         w_engagement=w0,

@@ -123,3 +123,28 @@ def test_case_study_matches_golden_hashes_without_numpy_random(tmp_path, capsys)
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN[("case-study", name)]
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+# The fit's sigmoid takes np.exp, whose SIMD loops numpy picks at import, and
+# its gemv products come from the OpenBLAS kernel picked at load. Each setting
+# below takes one of them off this machine's default: exp on AVX2 (X86_V3),
+# exp on the baseline loop, and two older gemv kernels. A setting that names
+# what the machine lacks leaves the run as it was.
+KERNEL_SETTINGS = {
+    "exp-x86-v3": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "exp-baseline": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "gemv-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "gemv-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+
+
+@pytest.mark.numpy
+@pytest.mark.parametrize("setting", KERNEL_SETTINGS)
+def test_case_study_report_is_the_golden_on_other_kernels(setting, tmp_path):
+    config = _default_config(tmp_path)
+    argv = [arg.format(config=config) for arg in COMMANDS["case-study"]]
+    proc = subprocess.run([sys.executable, "-m", "engagekit", *argv], cwd=tmp_path,
+                          env={**subprocess_env(), **KERNEL_SETTINGS[setting]}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert report == GOLDEN[("case-study", "report.json")]

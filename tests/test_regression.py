@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -352,6 +353,21 @@ def test_fit_rejects_constant_feature():
     d = Dataset([0.5, 0.5, 0.5, 0.5], [1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
     with pytest.raises(FitError):
         fit_logistic(d, FitConfig())
+
+
+@pytest.mark.parametrize("name", ["engagement", "reward"])
+@pytest.mark.parametrize("column", [
+    [1e308, -1e308, 1e308, -1e308],  # the squares of the spread overflow
+    [1.5e308, 1.5e308, 1.0, 1.0],  # the sum overflows, so the mean does too
+])
+def test_fit_names_the_feature_whose_scaler_overflows(name, column):
+    other = [0.1, 0.2, 0.3, 0.4]
+    columns = {"engagement": other, "reward": other, name: column}
+    d = Dataset(columns["engagement"], columns["reward"], [0, 1, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match=f"^{name}'s mean or std is not finite; standardization is undefined$"):
+            fit_logistic(d, FitConfig())
 
 
 def test_fit_converges_early_on_easy_data():

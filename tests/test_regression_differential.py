@@ -1,29 +1,35 @@
 """Differential tests: the gradient-descent fit against its allocating form.
 
-The reference is the original epoch loop, kept here as it was: a masked,
-branch-on-sign sigmoid that allocates its temporaries, and a loop that builds
-z, p, the residuals and the gradient afresh each epoch. fit_logistic runs
-every epoch through buffers it allocates once, a branch-free sigmoid and a
-Python-float update of the three parameters, so these tests pin the
-arithmetic: the fitted models must be equal (==), not close, and the kernel
-must reproduce the masked form bit for bit. Both loops stop on the gradient
-norm taken in Python floats (python_norm), which no BLAS call rounds. A last
-test walks predict_proba through the logits next to zero, where p meets 0.5.
+The reference is the epoch loop in its plain form: a loop that builds z, p,
+the residuals and the gradient afresh each epoch, with the sigmoid written
+1 / (1 + exp(-z)) (exp_sigmoid_vec). fit_logistic runs every epoch through
+buffers it allocates once and a Python-float update of the three
+parameters, so these tests pin the arithmetic: the fitted models must be
+equal (==) to the reference's, not close. Both loops stop on the gradient
+norm taken in Python floats (python_norm), which no BLAS call rounds.
+
+The original loop's masked, branch-on-sign sigmoid stays here as a second
+reference (reference_sigmoid_vec): the exp form is within a few ulp of it,
+so the fit stays within a stated bound of that loop, and on the packaged
+default it gives the same weights bit for bit. A last test walks
+predict_proba through the logits next to zero, where p meets 0.5.
 """
 
 import math
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from engagekit.config import default_config_path, load_config
 from engagekit.regression import (
     Dataset,
     FitConfig,
     RetentionModel,
-    _sigmoid_vec,
     fit_logistic,
     generate_synthetic_dataset,
     loss_and_gradient,
@@ -32,7 +38,14 @@ from engagekit.regression import (
 )
 
 
+def exp_sigmoid_vec(z):
+    """The fit's sigmoid: exp(-z) overflows to inf below z = -709.78, and p is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def reference_sigmoid_vec(z):
+    """The original loop's sigmoid, branching on the sign of z."""
     out = np.empty_like(z)
     pos = z >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -48,8 +61,9 @@ def python_norm(g_w, g_b):
     return math.sqrt(g0 * g0 + g1 * g1 + g_b * g_b)
 
 
-def reference_fit(train, cfg, gradients=None):
-    """The original loop; gradients, if given, collects each epoch's (g_w, g_b)."""
+def reference_fit(train, cfg, gradients=None, sigmoid=exp_sigmoid_vec):
+    """The allocating loop; gradients, if given, collects each epoch's
+    (g_w, g_b). With sigmoid=reference_sigmoid_vec it is the original loop."""
     y = train.retention.astype(np.float64)
     raw = train.features()
     means = raw.mean(axis=0)
@@ -59,7 +73,7 @@ def reference_fit(train, cfg, gradients=None):
     b = 0.0
     epochs_used = 0
     for _ in range(cfg.max_epochs):
-        p = reference_sigmoid_vec(X @ w + b)
+        p = sigmoid(X @ w + b)
         resid = p - y
         g_w = X.T @ resid / len(y)
         g_b = float(resid.mean())
@@ -85,7 +99,7 @@ def reference_loss_and_gradient(m, d):
     X = np.column_stack((e, r))
     y = d.retention.astype(np.float64)
     z = X @ np.array([m.w_engagement, m.w_reward]) + m.bias
-    p = reference_sigmoid_vec(z)
+    p = exp_sigmoid_vec(z)
     pc = np.clip(p, 1e-12, 1.0 - 1e-12)
     loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
     resid = p - y
@@ -95,10 +109,6 @@ def reference_loss_and_gradient(m, d):
         float(np.mean(resid)),
     ])
     return loss, grad
-
-
-def kernel(z):
-    return _sigmoid_vec(z, np.empty_like(z), np.empty_like(z), np.empty(z.shape, dtype=bool))
 
 
 def same_bits(a, b):
@@ -138,9 +148,9 @@ OVERLAPPING = overlapping(60, seed=3)
 SEPARABLE = Dataset([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], [1.0, 2.0, 3.0, 7.0, 8.0, 9.0], [0, 0, 0, 1, 1, 1])
 # Fits the draws below reach only by chance: the stopping test passing at
 # epoch 0 and mid-run, and a learning rate that pushes |z| past 745, where
-# exp(-|z|) underflows and p is exactly 0 or 1. On separable data that
-# shrinks the gradient to about 3e-271, whose squares underflow to 0, so
-# the fit stops too.
+# p is exactly 0 or 1 in both sigmoids (in the fit's one already below
+# z = -709.78, where exp(-z) overflows). On separable data that shrinks the gradient to about
+# 3e-271, whose squares underflow to 0, so the fit stops too.
 STOPS_AT_EPOCH_0 = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=1.0))
 STOPS_MID_RUN = (OVERLAPPING, FitConfig(learning_rate=0.5, max_epochs=400, convergence_tol=0.05))
 SATURATES = (OVERLAPPING, FitConfig(learning_rate=3e3, max_epochs=30, convergence_tol=1e-9))
@@ -190,6 +200,47 @@ def test_fit_equals_reference(train, cfg):
     assert fit_logistic(train, cfg) == reference_fit(train, cfg)
 
 
+def original_fit(train, cfg):
+    return reference_fit(train, cfg, sigmoid=reference_sigmoid_vec)
+
+
+def assert_near_the_original_fit(train, cfg):
+    """The fit stops within one epoch of the original loop, and its weights
+    are within 1e-13 of that loop's, relative to its largest |weight|, once
+    both run the same number of epochs."""
+    fitted, original = fit_logistic(train, cfg), original_fit(train, cfg)
+    assert abs(fitted.epochs_used - original.epochs_used) <= 1
+    epochs = min(fitted.epochs_used, original.epochs_used)
+    if fitted.epochs_used != original.epochs_used:
+        if epochs == 0:
+            return  # one of them stopped before its first update
+        capped = replace(cfg, max_epochs=epochs)
+        fitted, original = fit_logistic(train, capped), original_fit(train, capped)
+    got = np.array([fitted.w_engagement, fitted.w_reward, fitted.bias])
+    want = np.array([original.w_engagement, original.w_reward, original.bias])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), fit_configs)
+@example(*STOPS_AT_EPOCH_0)
+@example(*STOPS_MID_RUN)
+@example(*SATURATES)
+@example(*SATURATES_AND_STOPS)
+@example(*ZERO_GRADIENT)
+def test_fit_is_near_the_original_fit(train, cfg):
+    assert_near_the_original_fit(train, cfg)
+
+
+def test_packaged_default_fit_equals_the_original_fit():
+    cfg = load_config(default_config_path())
+    data = generate_synthetic_dataset(cfg.case_study.num_samples, cfg.seeds.data)
+    train = train_test_split(data, cfg.case_study.test_fraction, cfg.seeds.split).train
+    model = fit_logistic(train, cfg.fit)
+    assert model == original_fit(train, cfg.fit)
+    assert model.epochs_used == cfg.fit.max_epochs
+
+
 def test_fit_examples_reach_what_they_name():
     assert fit_logistic(*STOPS_AT_EPOCH_0).epochs_used == 0
     assert 0 < fit_logistic(*STOPS_MID_RUN).epochs_used < 400
@@ -198,7 +249,7 @@ def test_fit_examples_reach_what_they_name():
     for train, cfg in (SATURATES, SATURATES_AND_STOPS):
         z = logits(fit_logistic(train, cfg), train)
         assert z.min() < -745.2 and z.max() > 745.2
-        p = kernel(z)
+        p = exp_sigmoid_vec(z)
         assert (p == 0.0).any() and (p == 1.0).any()
     for (train, cfg), zero in ((SATURATES_AND_STOPS, False), (ZERO_GRADIENT, True), (TOL_SQUARE_ZERO, True)):
         gradients = []
@@ -303,6 +354,7 @@ def test_default_fit_at_8000_rows_equals_reference():
     model = fit_logistic(train, FitConfig())
     assert model == reference_fit(train, FitConfig())
     assert model.epochs_used == 5000
+    assert_near_the_original_fit(train, FitConfig())
 
 
 WIDE = np.array([
@@ -313,45 +365,49 @@ WIDE = np.array([
 ])
 
 
-def test_kernel_matches_masked_form_on_wide_inputs():
+def assert_within_ulps_of_the_branch_form(p, z):
+    """p is within 4 ulp of the branch form's sigmoid of z, elementwise, or
+    both are below the smallest normal double, where the exp form's overflow
+    of exp(-z) (z < -709.78) gives 0 in place of the branch form's subnormal."""
+    q = reference_sigmoid_vec(z)
+    assert p.shape == q.shape and (p >= 0.0).all()
+    ulps = np.abs(p.view(np.int64) - q.view(np.int64))  # both >= 0, so their bits order as their values
+    assert ((ulps <= 4) | (np.maximum(p, q) < np.finfo(float).tiny)).all()
+
+
+def exp_sigmoid_warning_nothing(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return exp_sigmoid_vec(z)
+
+
+def test_exp_sigmoid_is_near_the_branch_form_on_wide_inputs():
     rng = np.random.default_rng(5)
     z = np.concatenate([WIDE] + [rng.standard_normal(100_000) * k for k in (1.0, 40.0, 800.0)])
-    assert same_bits(kernel(z), reference_sigmoid_vec(z))
-
-
-def test_kernel_signed_zero_inputs():
-    z = np.array([0.0, -0.0])
-    assert same_bits(kernel(z), np.array([0.5, 0.5]))
-    assert same_bits(kernel(np.array([-745.2, -1e308, -np.inf])), np.zeros(3))
-
-
-def test_kernel_bits_at_the_edges():
-    tiny = np.finfo(float).tiny
-    cases = [
-        (0.0, 0.5), (-0.0, 0.5), (5e-324, 0.5), (-5e-324, 0.5), (tiny / 2, 0.5), (-tiny / 2, 0.5),
-        (745.0, 1.0), (-745.0, 5e-324), (745.2, 1.0), (-745.2, 0.0), (np.inf, 1.0), (-np.inf, 0.0),
-    ]
-    z, expected = (np.array(column) for column in zip(*cases))
-    assert same_bits(kernel(z), expected)
-    # nan in, nan out: -|z| gives both signs of nan the same bits.
-    p = kernel(np.array([np.nan, -np.nan]))
-    assert np.isnan(p).all() and p.view(np.uint64)[0] == p.view(np.uint64)[1]
-
-
-def test_kernel_writes_into_out_and_may_overwrite_z():
-    z = np.linspace(-50.0, 50.0, 1001)
-    expected = reference_sigmoid_vec(z)
-    out = np.empty_like(z)
-    assert _sigmoid_vec(z, out, np.empty_like(z), np.empty(z.shape, dtype=bool)) is out
-    assert same_bits(out, expected)
-    assert _sigmoid_vec(z, z, np.empty_like(z), np.empty(z.shape, dtype=bool)) is z
-    assert same_bits(z, expected)
+    assert_within_ulps_of_the_branch_form(exp_sigmoid_warning_nothing(z), z)
 
 
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, st.integers(1, 300), elements=st.floats(allow_nan=False)))
-def test_kernel_matches_masked_form(z):
-    assert same_bits(kernel(z), reference_sigmoid_vec(z))
+def test_exp_sigmoid_is_near_the_branch_form(z):
+    assert_within_ulps_of_the_branch_form(exp_sigmoid_warning_nothing(z), z)
+
+
+def test_exp_sigmoid_at_the_edges():
+    p = exp_sigmoid_warning_nothing(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]))
+    assert same_bits(p[:4], np.array([0.5, 0.5, 1.0, 0.0]))
+    assert np.isnan(p[4:]).all()
+
+
+def test_saturating_fits_warn_nothing():
+    # exp(-z) overflows in the late epochs of these fits and in the loss at
+    # the fitted weights; the fit and the loss keep the warning to themselves.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for train, cfg in (SATURATES, SATURATES_AND_STOPS, ZERO_GRADIENT):
+            model = fit_logistic(train, cfg)
+            assert logits(model, train).min() < -709.8
+            loss_and_gradient(model, train)
 
 
 @settings(max_examples=100, deadline=None)
